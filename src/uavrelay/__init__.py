@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelParams, Scenario, SirReport, path_loss,
-                      sir_dual_rx, sir_dual_uav, sir_multihop,
-                      sir_multihop_var_alt, sir_system_dual)
+from .channel import (ChannelParams, Scenario, SirReport, multihop_link_sirs,
+                      path_loss, sir_air_link, sir_multihop, sir_rx_link,
+                      sir_system_dual, sir_tx_link)
 from .dualhop import (classify_case_fixed_h, locus_heights, optimal_h_fixed_x,
                       optimal_position, optimal_x_fixed_h,
                       quartic_roots_fixed_h, stationary_points)
@@ -24,7 +24,6 @@ from .stochastic import (BetaField, DeterministicField, EmpiricalField,
                          InterferenceModel, MgfField, UpsilonField,
                          beta_upsilon, design_min_uavs_stochastic,
                          distributed_max_esir, expected_multihop_link_sirs,
-                         expected_sir_dual, single_uav_position, upsilon,
-                         upsilon_field)
+                         single_uav_position, upsilon, upsilon_field)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

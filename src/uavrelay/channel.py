@@ -22,6 +22,18 @@ SPEED_OF_LIGHT = 299_792_458.0
 HOP_SUM_RTOL = 1e-6
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise DomainError unless value is a finite number > 0 (NaN fails)."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def require_non_negative(name: str, value: float) -> None:
+    """Raise DomainError unless value is a finite number >= 0 (NaN fails)."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Attenuation coefficients of the LoS / NLoS / air-ground links.
@@ -42,19 +54,15 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("carrier_frequency", "excess_loss_los", "excess_loss_nlos",
-                     "mu_los", "mu_nlos", "eta_nlos"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"ChannelParams.{name} must be > 0")
-        if self.path_loss_exponent <= 0.0:
-            raise DomainError("path_loss_exponent must be > 0")
+                     "mu_los", "mu_nlos", "eta_nlos", "path_loss_exponent"):
+            require_positive(f"ChannelParams.{name}", getattr(self, name))
 
     @classmethod
     def from_carrier(cls, carrier_frequency: float, excess_loss_los: float,
                      excess_loss_nlos: float, *, eta_nlos: float | None = None,
                      path_loss_exponent: float = 2.0) -> "ChannelParams":
         """Build the coefficients mu = C * (4*pi*f/c)**alpha from raw inputs."""
-        if carrier_frequency <= 0.0:
-            raise DomainError("carrier_frequency must be > 0")
+        require_positive("carrier_frequency", carrier_frequency)
         k = (4.0 * math.pi * carrier_frequency / SPEED_OF_LIGHT) ** path_loss_exponent
         mu_los = excess_loss_los * k
         mu_nlos = excess_loss_nlos * k
@@ -104,19 +112,14 @@ class Scenario:
     d_min: float = 0.0
 
     def __post_init__(self):
-        if self.distance_tx_rx <= 0.0:
-            raise DomainError("distance_tx_rx must be > 0")
+        for name in ("distance_tx_rx", "p_tx", "p_uav", "p_msi", "h_min", "h_max"):
+            require_positive(name, getattr(self, name))
+        for name in ("msi_y", "d_min"):
+            require_non_negative(name, getattr(self, name))
         if not (0.0 <= self.msi_x <= self.distance_tx_rx):
             raise DomainError("msi_x must lie in [0, distance_tx_rx]")
-        if self.msi_y < 0.0:
-            raise DomainError("msi_y must be >= 0")
-        if not (0.0 < self.h_min <= self.h_max):
-            raise DomainError("need 0 < h_min <= h_max")
-        for name in ("p_tx", "p_uav", "p_msi"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be > 0")
-        if self.d_min < 0.0:
-            raise DomainError("d_min must be >= 0")
+        if self.h_min > self.h_max:
+            raise DomainError("need h_min <= h_max")
 
 
 @dataclass(frozen=True)
@@ -150,18 +153,37 @@ def path_loss(params: ChannelParams, kind: str, distance: float) -> float:
     raise DomainError(f"unknown path-loss kind {kind!r}")
 
 
-def sir_dual_uav(s: Scenario, x: float, h: float) -> float:
-    """SIR of the Tx -> UAV link for a relay hovering at (x, 0, h)."""
-    num = s.p_tx * ((x - s.msi_x) ** 2 + s.msi_y ** 2 + h ** 2)
-    return num / (s.p_msi * (x ** 2 + h ** 2))
+def sir_tx_link(s: Scenario, d1, h):
+    """SIR of the Tx -> UAV link, the UAV at horizontal distance d1 and altitude h.
+
+    Signal and interference are both ground-to-air, so eta cancels.  Like
+    the other two link kernels it uses plain arithmetic only: Python floats
+    give a float, numpy arrays broadcast.
+    """
+    return (s.p_tx * ((s.msi_x - d1) ** 2 + s.msi_y ** 2 + h ** 2)
+            / (s.p_msi * (d1 ** 2 + h ** 2)))
 
 
-def sir_dual_rx(s: Scenario, x: float, h: float) -> float:
-    """SIR of the UAV -> Rx link; the interference reaches the Rx over ground."""
-    num = s.p_uav * (s.msi_y ** 2 + (s.distance_tx_rx - s.msi_x) ** 2)
-    den = (s.p_msi * ((s.distance_tx_rx - x) ** 2 + h ** 2)
-           * (s.channel.eta_nlos / s.channel.mu_nlos))
-    return num / den
+def sir_air_link(s: Scenario, pos, link_sq, h):
+    """SIR of a UAV -> UAV link (air-to-air LoS).
+
+    The receiving UAV sits at horizontal position pos and altitude h;
+    link_sq is the squared 3-D length of the hop.
+    """
+    return (s.p_uav * s.channel.eta_nlos
+            * ((s.msi_x - pos) ** 2 + s.msi_y ** 2 + h ** 2)
+            / (s.channel.mu_los * s.p_msi * link_sq))
+
+
+def sir_rx_link(s: Scenario, d_last, h):
+    """SIR of the UAV -> Rx link, the UAV d_last short of the Rx at altitude h.
+
+    Air-to-ground signal, ground-to-ground interference.
+    """
+    ch = s.channel
+    return (s.p_uav * ch.mu_nlos
+            * ((s.msi_x - s.distance_tx_rx) ** 2 + s.msi_y ** 2)
+            / (ch.eta_nlos * s.p_msi * (d_last ** 2 + h ** 2)))
 
 
 def sir_system_dual(s: Scenario, x: float, h: float) -> SirReport:
@@ -170,7 +192,8 @@ def sir_system_dual(s: Scenario, x: float, h: float) -> SirReport:
         raise DomainError("x outside [0, D]")
     if not (s.h_min <= h <= s.h_max):
         raise DomainError("h outside [h_min, h_max]")
-    return SirReport.from_links((sir_dual_uav(s, x, h), sir_dual_rx(s, x, h)))
+    return SirReport.from_links((sir_tx_link(s, x, h),
+                                 sir_rx_link(s, s.distance_tx_rx - x, h)))
 
 
 def _check_hop_sum(s: Scenario, hops: Sequence[float]) -> None:
@@ -182,77 +205,32 @@ def _check_hop_sum(s: Scenario, hops: Sequence[float]) -> None:
         raise DomainError("hop distances must sum to distance_tx_rx")
 
 
-def multihop_link_sirs(s: Scenario, hops: Sequence[float], h: float) -> list[float]:
-    """Per-link SIRs of a uniform-altitude chain Tx -> UAV_1 .. UAV_N -> Rx.
+def multihop_link_sirs(s: Scenario, hops: Sequence[float],
+                       h: float | Sequence[float]) -> list[float]:
+    """Per-link SIRs of a chain Tx -> UAV_1 .. UAV_N -> Rx.
 
-    Middle links are air-to-air (LoS, horizontal distance only); the
-    interferer is seen from the receiving node of every link.
+    h is one altitude shared by every UAV, or one altitude per UAV.  A
+    middle link spans the 3-D distance sqrt(d_k**2 + (h_k - h_{k-1})**2);
+    the interferer is seen from the receiving node of every link.
     """
-    ch = s.channel
-    X, Y = s.msi_x, s.msi_y
-    n_uavs = len(hops) - 1
-    pos = 0.0
-    links = []
-    # Tx -> UAV_1: ground-to-air on both signal and interference, eta cancels.
-    pos += hops[0]
-    links.append(s.p_tx * ((X - pos) ** 2 + Y ** 2 + h ** 2)
-                 / (s.p_msi * (hops[0] ** 2 + h ** 2)))
-    for k in range(1, n_uavs):
-        d_k = hops[k]
-        if d_k <= 0.0:
-            raise DomainError("middle hop distance must be > 0")
-        pos += d_k
-        links.append(s.p_uav * ch.eta_nlos * ((X - pos) ** 2 + Y ** 2 + h ** 2)
-                     / (ch.mu_los * s.p_msi * d_k ** 2))
-    # UAV_N -> Rx: air-to-ground signal, ground-to-ground interference.
-    d_last = hops[-1]
-    links.append(s.p_uav * ch.mu_nlos * ((X - s.distance_tx_rx) ** 2 + Y ** 2)
-                 / (ch.eta_nlos * s.p_msi * (d_last ** 2 + h ** 2)))
+    alts = h if hasattr(h, "__len__") else [h] * (len(hops) - 1)
+    if len(alts) != len(hops) - 1:
+        raise DomainError("need one altitude per UAV")
+    pos = hops[0]
+    links = [sir_tx_link(s, pos, alts[0])]
+    for k in range(1, len(alts)):
+        pos += hops[k]
+        link_sq = hops[k] ** 2 + (alts[k] - alts[k - 1]) ** 2
+        if hops[k] < 0.0 or link_sq <= 0.0:
+            raise DomainError(
+                "negative middle hop or coincident consecutive UAVs")
+        links.append(sir_air_link(s, pos, link_sq, alts[k]))
+    links.append(sir_rx_link(s, hops[-1], alts[-1]))
     return links
 
 
 def sir_multihop(s: Scenario, placement: "Placement") -> SirReport:
-    """SIR report of a uniform-altitude multi-hop chain."""
-    hops = tuple(placement.hop_distances)
-    alts = tuple(placement.altitudes)
-    if len(set(alts)) != 1:
-        raise DomainError("sir_multihop requires a uniform altitude; "
-                          "use sir_multihop_var_alt")
-    h = alts[0]
-    _check_hop_sum(s, hops)
-    if not (s.h_min <= h <= s.h_max):
-        raise DomainError("altitude outside [h_min, h_max]")
-    if any(d < s.d_min for d in hops[1:-1]):
-        raise DomainError("middle hop below the safe-guard separation d_min")
-    return SirReport.from_links(multihop_link_sirs(s, hops, h))
-
-
-def multihop_link_sirs_var_alt(s: Scenario, hops: Sequence[float],
-                               alts: Sequence[float]) -> list[float]:
-    """Per-link SIRs of a chain with per-UAV altitudes.
-
-    Air-to-air links use the 3-D distance sqrt(d_i**2 + (h_i - h_{i-1})**2).
-    """
-    ch = s.channel
-    X, Y = s.msi_x, s.msi_y
-    n_uavs = len(hops) - 1
-    pos = hops[0]
-    links = [s.p_tx * ((X - pos) ** 2 + Y ** 2 + alts[0] ** 2)
-             / (s.p_msi * (hops[0] ** 2 + alts[0] ** 2))]
-    for k in range(1, n_uavs):
-        pos += hops[k]
-        link_sq = hops[k] ** 2 + (alts[k] - alts[k - 1]) ** 2
-        if link_sq <= 0.0:
-            raise DomainError("coincident consecutive UAVs")
-        links.append(s.p_uav * ch.eta_nlos * ((X - pos) ** 2 + Y ** 2 + alts[k] ** 2)
-                     / (ch.mu_los * s.p_msi * link_sq))
-    links.append(s.p_uav * ch.mu_nlos * ((X - s.distance_tx_rx) ** 2 + Y ** 2)
-                 / (ch.eta_nlos * s.p_msi * (hops[-1] ** 2 + alts[-1] ** 2)))
-    return links
-
-
-def sir_multihop_var_alt(s: Scenario, placement: "Placement") -> SirReport:
-    """SIR report of a multi-hop chain with per-UAV altitudes."""
+    """SIR report of a multi-hop chain, uniform or per-UAV altitudes."""
     hops = tuple(placement.hop_distances)
     alts = tuple(placement.altitudes)
     _check_hop_sum(s, hops)
@@ -266,4 +244,4 @@ def sir_multihop_var_alt(s: Scenario, placement: "Placement") -> SirReport:
         sep = math.hypot(hops[k], alts[k] - alts[k - 1])
         if sep < s.d_min:
             raise DomainError("3-D UAV separation below d_min")
-    return SirReport.from_links(multihop_link_sirs_var_alt(s, hops, alts))
+    return SirReport.from_links(multihop_link_sirs(s, hops, alts))

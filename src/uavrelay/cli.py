@@ -20,10 +20,11 @@ import sys
 from typing import Optional
 
 import click
+import numpy as np
 import yaml
 
 from . import __version__
-from .channel import ChannelParams, Scenario
+from .channel import ChannelParams, Scenario, require_positive
 from .dualhop import classify_case_fixed_h, locus_heights, optimal_position
 from .errors import (DomainError, InfeasibleError, NumericError, PlanningError,
                      SchemaError)
@@ -94,7 +95,17 @@ def _parse_field(raw: dict) -> InterferenceModel:
     def arr(key):
         if key not in raw or not isinstance(raw[key], list) or not raw[key]:
             raise SchemaError(f"{sec}.{key} must be a non-empty list")
-        return [float(v) for v in raw[key]]
+        return np.array([_number(raw[key], f"{sec}.{key}", i)
+                         for i in range(len(raw[key]))])
+
+    def knots(values_key):
+        """Knot positions and values of a piecewise-linear profile in x."""
+        xs, values = arr("x_m"), arr(values_key)
+        if len(xs) != len(values):
+            raise SchemaError(f"{variant} arrays must share one length")
+        if not np.all(xs[1:] > xs[:-1]):
+            raise SchemaError(f"{sec}.x_m must be strictly increasing")
+        return xs, values
 
     def check_keys(allowed):
         unknown = set(raw) - allowed - {"variant"}
@@ -111,44 +122,20 @@ def _parse_field(raw: dict) -> InterferenceModel:
                          num("altitude_m"))
     if variant == "beta_knots":
         check_keys({"x_m", "alpha", "beta", "i_max_w", "altitude_m"})
-        xs, al, be = arr("x_m"), arr("alpha"), arr("beta")
-        if not (len(xs) == len(al) == len(be)):
-            raise SchemaError("beta_knots arrays must share one length")
+        xs, al = knots("alpha")
+        _, be = knots("beta")
 
-        def interp(knots):
-            def f(x, _xs=tuple(xs), _ks=tuple(knots)):
-                if x <= _xs[0]:
-                    return _ks[0]
-                if x >= _xs[-1]:
-                    return _ks[-1]
-                for (x0, k0), (x1, k1) in zip(zip(_xs, _ks), zip(_xs[1:], _ks[1:])):
-                    if x0 <= x <= x1:
-                        t = (x - x0) / (x1 - x0)
-                        return k0 + t * (k1 - k0)
-                return _ks[-1]
-            return f
+        def interp(values):
+            return lambda x: float(np.interp(x, xs, values))
 
         return BetaField(interp(al), interp(be), num("i_max_w"),
                          num("altitude_m"))
     # tabulated_upsilon: store as a deterministic level 1/Upsilon(x), which
     # reproduces the same expected SIRs.
     check_keys({"x_m", "upsilon", "altitude_m"})
-    xs, ups = arr("x_m"), arr("upsilon")
-    if len(xs) != len(ups):
-        raise SchemaError("tabulated_upsilon arrays must share one length")
-
-    def level(x, _xs=tuple(xs), _us=tuple(ups)):
-        if x <= _xs[0]:
-            return 1.0 / _us[0]
-        if x >= _xs[-1]:
-            return 1.0 / _us[-1]
-        for (x0, u0), (x1, u1) in zip(zip(_xs, _us), zip(_xs[1:], _us[1:])):
-            if x0 <= x <= x1:
-                t = (x - x0) / (x1 - x0)
-                return 1.0 / (u0 + t * (u1 - u0))
-        return 1.0 / _us[-1]
-
-    return DeterministicField(level, num("altitude_m"))
+    xs, ups = knots("upsilon")
+    return DeterministicField(lambda x: 1.0 / float(np.interp(x, xs, ups)),
+                              num("altitude_m"))
 
 
 def parse_scenario(path: str) -> tuple[Scenario, list[InterferenceSource],
@@ -263,13 +250,16 @@ class GammaType(click.ParamType):
         text = str(value).strip().lower()
         try:
             if text.startswith("x"):
-                return float(text[1:])
-            if text.endswith("db"):
-                return 10.0 ** (float(text[:-2]) / 10.0)
-            return float(text)
-        except ValueError:
-            self.fail(f"cannot parse gamma {value!r} (use x12.5 or 11db)",
+                gamma = float(text[1:])
+            elif text.endswith("db"):
+                gamma = 10.0 ** (float(text[:-2]) / 10.0)
+            else:
+                gamma = float(text)
+            require_positive("gamma", gamma)
+        except (ValueError, OverflowError, DomainError) as exc:
+            self.fail(f"cannot use gamma {value!r} (use x12.5 or 11db): {exc}",
                       param, ctx)
+        return gamma
 
 
 GAMMA = GammaType()
@@ -352,15 +342,15 @@ def dualhop_opt(scenario, out):
 
 @main.command("dualhop-locus")
 @scenario_argument
-@click.option("--samples", default=256, show_default=True)
+@click.option("--samples", type=click.IntRange(min=2), default=256,
+              show_default=True)
 @out_option
 @planner_errors
 def dualhop_locus(scenario, samples, out):
     """Equal-SIR locus h(x) sampled over [0, D]."""
     s, _, _ = parse_scenario(scenario)
     rows = []
-    for i in range(samples):
-        x = s.distance_tx_rx * i / (samples - 1)
+    for x in np.linspace(0.0, s.distance_tx_rx, samples).tolist():
         points = locus_heights(s, x)
         row = {"x_m": x, "h_plus_m": float("nan"), "h_minus_m": float("nan")}
         for p in points:
@@ -675,17 +665,17 @@ def _parse_range(spec: str) -> tuple[str, list[float]]:
         name, rng = spec.split("=", 1)
         parts = rng.split(":")
         if len(parts) == 1:
-            return name, [float(parts[0])]
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError
-        if count == 1:
-            return name, [start]
-        step = (stop - start) / (count - 1)
-        return name, [start + i * step for i in range(count)]
+            values = [float(parts[0])]
+        else:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if count < 1:
+                raise ValueError
+            step = (stop - start) / (count - 1) if count > 1 else 0.0
+            values = [start + i * step for i in range(count)]
     except (ValueError, IndexError):
         raise SchemaError(
             f"cannot parse sweep parameter {spec!r} (expected name=a:b:n)")
+    return name, values
 
 
 @main.command("sweep")
@@ -728,12 +718,21 @@ def sweep(scenario, subcommand, params, zipped, gamma, altitude, n_uavs,
         flags = {"gamma": gamma, "h": altitude, "n_uavs": n_uavs,
                  "epsilon": epsilon}
         for name, value in pt.items():
+            key = name.replace("-", "_")
             if "." in name:
                 s = _set_scenario_field(s, name, value)
-            elif name.replace("-", "_") in flags:
-                flags[name.replace("-", "_")] = value
-            else:
+                continue
+            if key not in flags:
                 raise SchemaError(f"cannot sweep parameter {name!r}")
+            if key == "n_uavs":
+                if not value.is_integer():
+                    raise SchemaError(
+                        f"sweep parameter {name!r} takes integers, got {value}")
+                value = int(value)
+            flags[key] = value
+        for key in ("gamma", "epsilon"):
+            if flags[key] is not None:
+                require_positive(key, flags[key])
         row = {"index": idx, **{k: v for k, v in pt.items()}}
         try:
             row.update(_run_sweep_point(s, subcommand, flags, grid))

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import Scenario, SirReport, sir_dual_rx, sir_dual_uav, sir_system_dual
+from .channel import (Scenario, SirReport, sir_rx_link, sir_system_dual,
+                      sir_tx_link)
 from .errors import DomainError
 
 #: Relative tolerance on SIR1 == SIR2 at a reported locus point / quartic root.
@@ -187,8 +188,8 @@ def quartic_roots_fixed_h(s: Scenario, h_hat: float) -> list[float]:
         if not (-ROOT_DEDUP_ATOL * D <= x <= D * (1.0 + ROOT_DEDUP_ATOL)):
             continue
         x = min(max(x, 0.0), D)
-        s1 = sir_dual_uav(s, x, h_hat)
-        s2 = sir_dual_rx(s, x, h_hat)
+        s1 = sir_tx_link(s, x, h_hat)
+        s2 = sir_rx_link(s, D - x, h_hat)
         if abs(s1 - s2) / s1 > SIR_EQUALITY_RTOL:
             continue
         kept.append(x)
@@ -248,7 +249,7 @@ def optimal_x_fixed_h(s: Scenario, h_hat: float) -> float:
     if label.case_id == 2:
         return x_sol
     # Case 4: the crossing wins only if it beats the right boundary.
-    if sir_dual_uav(s, x_sol, h_hat) >= sir_dual_uav(s, s.distance_tx_rx, h_hat):
+    if sir_tx_link(s, x_sol, h_hat) >= sir_tx_link(s, s.distance_tx_rx, h_hat):
         return x_sol
     return s.distance_tx_rx
 
@@ -303,7 +304,7 @@ def _locus_argmax(s: Scenario) -> LocusPoint | None:
     best: tuple[float, LocusPoint] | None = None
     for x in xs:
         for p in locus_heights(s, float(x)):
-            v = sir_dual_uav(s, p.x, p.h)  # on the curve both SIRs coincide
+            v = sir_tx_link(s, p.x, p.h)  # on the curve both SIRs coincide
             if best is None or v > best[0]:
                 best = (v, p)
     if best is None:
@@ -316,7 +317,7 @@ def _locus_argmax(s: Scenario) -> LocusPoint | None:
     def objective(x: float) -> float:
         for p in locus_heights(s, x):
             if p.branch == seed.branch:
-                return sir_dual_uav(s, p.x, p.h)
+                return sir_tx_link(s, p.x, p.h)
         return -math.inf
 
     x_ref, v_ref = _golden_max(objective, lo, hi)
@@ -343,10 +344,10 @@ def optimal_position(s: Scenario) -> tuple[float, float, SirReport]:
                    key=lambda p: (sir_system_dual(s, *p).system_sir, -p[0], -p[1]))
         return x, h, sir_system_dual(s, x, h)
 
-    if sir_dual_rx(s, D, h_lo) <= max(sir_dual_uav(s, D, h_hi),
-                                      sir_dual_uav(s, D, h_lo)):
+    if sir_rx_link(s, 0.0, h_lo) <= max(sir_tx_link(s, D, h_hi),
+                                        sir_tx_link(s, D, h_lo)):
         return D, h_lo, sir_system_dual(s, D, h_lo)
-    if sir_dual_uav(s, 0.0, h_lo) <= sir_dual_rx(s, 0.0, h_lo):
+    if sir_tx_link(s, 0.0, h_lo) <= sir_rx_link(s, D, h_lo):
         return 0.0, h_lo, sir_system_dual(s, 0.0, h_lo)
 
     x_t, h_t = tilde.x, tilde.h
@@ -363,9 +364,9 @@ def optimal_position(s: Scenario) -> tuple[float, float, SirReport]:
     if x_t >= psi_x:
         return at_right_boundary()
     if x_t >= psi_h:
-        if sir_dual_uav(s, x_t, h_t) >= sir_dual_uav(s, D, h_hi):
+        if sir_tx_link(s, x_t, h_t) >= sir_tx_link(s, D, h_hi):
             return x_t, h_t, sir_system_dual(s, x_t, h_t)
         return at_right_boundary()
-    if sir_dual_uav(s, x_t, h_lo) >= sir_dual_uav(s, D, h_hi):
+    if sir_tx_link(s, x_t, h_lo) >= sir_tx_link(s, D, h_hi):
         return x_t, h_lo, sir_system_dual(s, x_t, h_lo)
     return at_right_boundary()

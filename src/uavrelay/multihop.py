@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (Scenario, SirReport, multihop_link_sirs,
-                      multihop_link_sirs_var_alt, sir_dual_uav)
+                      require_positive, sir_air_link, sir_rx_link, sir_tx_link)
 from .dualhop import stationary_points
 from .errors import DomainError, InfeasibleError
 
@@ -89,16 +89,11 @@ def feasibility_bound(s: Scenario, h: float) -> float:
     """
     if not (s.h_min <= h <= s.h_max):
         raise DomainError("h outside [h_min, h_max]")
-    ch = s.channel
-    X, Y, D = s.msi_x, s.msi_y, s.distance_tx_rx
-    cap_tx = s.p_tx * (X ** 2 + Y ** 2 + h ** 2) / (s.p_msi * h ** 2)
-    cap_rx = (s.p_uav * ch.mu_nlos * (Y ** 2 + (D - X) ** 2)
-              / (ch.eta_nlos * s.p_msi * h ** 2))
-    if s.d_min == 0.0:
-        return min(cap_tx, cap_rx)
-    cap_mid = (s.p_uav * ch.eta_nlos * (Y ** 2 + h ** 2)
-               / (ch.mu_los * s.p_msi * s.d_min ** 2))
-    return min(cap_tx, cap_mid, cap_rx)
+    caps = [sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h)]
+    if s.d_min > 0.0:
+        # A hop of d_min with the interferer right below its receiving UAV.
+        caps.append(sir_air_link(s, s.msi_x, s.d_min ** 2, h))
+    return min(caps)
 
 
 def first_hop_distance(s: Scenario, h: float, gamma: float) -> float:
@@ -210,33 +205,6 @@ def middle_hop_distance(s: Scenario, h: float, gamma: float,
     return finish_hop, "finish"
 
 
-def _chain_report(s: Scenario, hops, h: float) -> SirReport:
-    return SirReport.from_links(multihop_link_sirs(s, list(hops), h))
-
-
-def _tolerant_system_sir(s: Scenario, hops, h: float) -> float:
-    """Worst-link SIR of a possibly degenerate chain.
-
-    Zero-length middle hops (stacked redundant UAVs) carry unbounded SIR, so
-    they are skipped instead of rejected.
-    """
-    ch = s.channel
-    X, Y, D = s.msi_x, s.msi_y, s.distance_tx_rx
-    pos = hops[0]
-    worst = (s.p_tx * ((X - pos) ** 2 + Y ** 2 + h ** 2)
-             / (s.p_msi * (hops[0] ** 2 + h ** 2)))
-    for d_k in hops[1:-1]:
-        if d_k <= 0.0:
-            continue
-        pos += d_k
-        worst = min(worst,
-                    s.p_uav * ch.eta_nlos * ((X - pos) ** 2 + Y ** 2 + h ** 2)
-                    / (ch.mu_los * s.p_msi * d_k ** 2))
-    return min(worst,
-               s.p_uav * ch.mu_nlos * ((X - D) ** 2 + Y ** 2)
-               / (ch.eta_nlos * s.p_msi * (hops[-1] ** 2 + h ** 2)))
-
-
 def design_min_uavs(s: Scenario, h: float, gamma: float,
                     n_cap: int = 10_000) -> DesignResult:
     """Minimum-size chain meeting per-link SIR >= gamma at altitude h.
@@ -280,7 +248,8 @@ def design_min_uavs(s: Scenario, h: float, gamma: float,
 
 
 def _check_design(s: Scenario, placement: Placement, gamma: float) -> float:
-    report = _chain_report(s, placement.hop_distances, placement.altitudes[0])
+    report = SirReport.from_links(
+        multihop_link_sirs(s, placement.hop_distances, placement.altitudes[0]))
     if report.system_sir < gamma * (1.0 - 1e-9):
         raise InfeasibleError(
             f"designed chain violates the target on link {report.bottleneck_index}")
@@ -327,15 +296,10 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
     """
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be > 0")
+    require_positive("epsilon", epsilon)
     s.channel.require_quadratic_exponent()
     D = s.distance_tx_rx
-    ch = s.channel
-    gamma0 = min(
-        sir_dual_uav(s, 0.0, h),
-        s.p_uav * ch.mu_nlos * ((s.msi_x - D) ** 2 + s.msi_y ** 2)
-        / (ch.eta_nlos * s.p_msi * h ** 2))
+    gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
     trace = IterationTrace(epsilon=epsilon)
     gamma = gamma0
     max_iter = math.floor(gamma0 / epsilon) + 1
@@ -345,7 +309,11 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
             hops, consumed, d_max = result
             closes = D - consumed <= d_max
             placement = Placement.uniform(hops + [max(D - consumed, 0.0)], h)
-            sir_s = _tolerant_system_sir(s, placement.hop_distances, h)
+            hops = placement.hop_distances
+            if 0.0 in hops[1:-1]:
+                # Surplus UAVs stacked on one spot: a zero hop is no link.
+                hops = (hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1])
+            sir_s = min(multihop_link_sirs(s, hops, h))
             trace.append(gamma, placement, sir_s)
             if closes:
                 return gamma, placement, trace
@@ -358,59 +326,49 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
     raise InfeasibleError("no target SIR closed the chain; span not coverable")
 
 
-def _local_links(s: Scenario, hops: list[float], alts: list[float],
-                 i: int, d: np.ndarray, hgrid: np.ndarray):
-    """Vectorized SIRs of the two links around UAV i for candidate moves.
-
-    d: candidate first-hop lengths on [0, d_i + d_{i+1}] (second hop closes
-    the gap); hgrid: candidate altitudes.  Shapes broadcast to (len(d), len(h)).
-    """
-    ch = s.channel
-    X, Y, D = s.msi_x, s.msi_y, s.distance_tx_rx
-    n = len(alts)
-    gap = hops[i] + hops[i + 1]
-    prev_pos = sum(hops[:i])
-    dd = d[:, None]
-    hh = hgrid[None, :]
-    pos = prev_pos + dd
-    if i == 0:
-        sir_in = (s.p_tx * ((X - pos) ** 2 + Y ** 2 + hh ** 2)
-                  / (s.p_msi * (dd ** 2 + hh ** 2)))
-    else:
-        h_prev = alts[i - 1]
-        link_sq = dd ** 2 + (hh - h_prev) ** 2
-        sir_in = (s.p_uav * ch.eta_nlos * ((X - pos) ** 2 + Y ** 2 + hh ** 2)
-                  / (ch.mu_los * s.p_msi * np.maximum(link_sq, 1e-300)))
-    d_next = gap - dd
-    if i == n - 1:
-        sir_out = (s.p_uav * ch.mu_nlos * ((X - D) ** 2 + Y ** 2)
-                   / (ch.eta_nlos * s.p_msi * (d_next ** 2 + hh ** 2)))
-    else:
-        h_next = alts[i + 1]
-        next_pos = pos + d_next
-        link_sq = d_next ** 2 + (hh - h_next) ** 2
-        sir_out = (s.p_uav * ch.eta_nlos * ((X - next_pos) ** 2 + Y ** 2 + h_next ** 2)
-                   / (ch.mu_los * s.p_msi * np.maximum(link_sq, 1e-300)))
-    return sir_in, sir_out
-
-
 def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
                        i: int, eps_h: float, grid: tuple[int, int],
-                       zooms: int) -> tuple[float, float, float]:
+                       zooms: int) -> tuple[float, float, float, float]:
     """Best admissible (d, h) for UAV i inside its exploration rectangle.
 
     The rectangle spans the gap between the two neighbors horizontally and
     +-eps_h vertically; successive zoom passes re-grid around the incumbent
-    so accepted moves are not limited by the coarse resolution.
+    so accepted moves are not limited by the coarse resolution.  Returns
+    (d, h, its local SIR, the local SIR where UAV i stands now); the local
+    SIR is the min of the two links around UAV i.
     """
     nx, nh = grid
+    n = len(alts)
     gap = hops[i] + hops[i + 1]
+    prev_pos = sum(hops[:i])
     h_lo0 = max(s.h_min, alts[i] - eps_h)
     h_hi0 = min(s.h_max, alts[i] + eps_h)
     # Safe-guard: keep 3-D separation to both neighbors >= d_min
     # (ground nodes sit at altitude 0).
     h_prev = alts[i - 1] if i > 0 else 0.0
-    h_next = alts[i + 1] if i < len(alts) - 1 else 0.0
+    h_next = alts[i + 1] if i < n - 1 else 0.0
+
+    def local_sir(d: np.ndarray, h: np.ndarray) -> np.ndarray:
+        # d: first-hop lengths on [0, gap] (the second hop closes the gap),
+        # h: altitudes; the result broadcasts to (len(d), len(h)).
+        dd = d[:, None]
+        hh = h[None, :]
+        pos = prev_pos + dd
+        if i == 0:
+            sir_in = sir_tx_link(s, dd, hh)
+        else:
+            sir_in = sir_air_link(
+                s, pos, np.maximum(dd ** 2 + (hh - h_prev) ** 2, 1e-300), hh)
+        d_next = gap - dd
+        if i == n - 1:
+            sir_out = sir_rx_link(s, d_next, hh)
+        else:
+            sir_out = sir_air_link(
+                s, pos + d_next,
+                np.maximum(d_next ** 2 + (hh - h_next) ** 2, 1e-300), h_next)
+        return np.minimum(sir_in, sir_out)
+
+    current = float(local_sir(np.array([hops[i]]), np.array([alts[i]]))[0, 0])
     d_lo, d_hi, h_lo, h_hi = 0.0, gap, h_lo0, h_hi0
     best = (hops[i], alts[i], -math.inf)
     for _ in range(max(zooms, 1)):
@@ -418,13 +376,11 @@ def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
                                      np.clip(hops[i], d_lo, d_hi)))
         h_cand = np.unique(np.append(np.linspace(h_lo, h_hi, nh),
                                      np.clip(alts[i], h_lo, h_hi)))
-        sir_in, sir_out = _local_links(s, hops, alts, i, d_cand, h_cand)
-        local = np.minimum(sir_in, sir_out)
         dd = d_cand[:, None]
         hh = h_cand[None, :]
         ok = ((dd ** 2 + (hh - h_prev) ** 2 >= s.d_min ** 2)
               & ((gap - dd) ** 2 + (hh - h_next) ** 2 >= s.d_min ** 2))
-        local = np.where(ok, local, -np.inf)
+        local = np.where(ok, local_sir(d_cand, h_cand), -np.inf)
         bi, bj = np.unravel_index(int(np.argmax(local)), local.shape)
         best = (float(d_cand[bi]), float(h_cand[bj]), float(local[bi, bj]))
         step_d = (d_hi - d_lo) / (nx - 1)
@@ -432,7 +388,7 @@ def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
         d_lo, d_hi = max(0.0, best[0] - step_d), min(gap, best[0] + step_d)
         h_lo = max(h_lo0, best[1] - step_h)
         h_hi = min(h_hi0, best[1] + step_h)
-    return best
+    return (*best, current)
 
 
 def refine_altitudes(s: Scenario, start: Placement, eps_h: float,
@@ -457,22 +413,17 @@ def refine_altitudes(s: Scenario, start: Placement, eps_h: float,
     hops = list(start.hop_distances)
     alts = list(start.altitudes)
     n = len(alts)
-    history = [SirReport.from_links(
-        multihop_link_sirs_var_alt(s, hops, alts)).system_sir]
+    history = [min(multihop_link_sirs(s, hops, alts))]
     for it in range(iterations):
         for p in range(passes):
             order = range(n) if (it * passes + p) % 2 == 0 else range(n - 1, -1, -1)
             for i in order:
                 gap = hops[i] + hops[i + 1]
-                d_star, h_star, value = _explore_rectangle(
+                d_star, h_star, value, current = _explore_rectangle(
                     s, hops, alts, i, eps_h, grid, zooms)
-                sir_in, sir_out = _local_links(
-                    s, hops, alts, i, np.array([hops[i]]), np.array([alts[i]]))
-                current = min(float(sir_in[0, 0]), float(sir_out[0, 0]))
                 if value > current:
                     hops[i + 1] = gap - d_star
                     hops[i] = d_star
                     alts[i] = h_star
-        history.append(SirReport.from_links(
-            multihop_link_sirs_var_alt(s, hops, alts)).system_sir)
+        history.append(min(multihop_link_sirs(s, hops, alts)))
     return Placement(tuple(hops), tuple(alts)), history

@@ -95,36 +95,39 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
     pos = np.linspace(0.0, D, n_pos)
     X, Y = s.msi_x, s.msi_y
 
-    if planner_kind == "deterministic":
+    det = planner_kind == "deterministic"
+    if det:
         first_ok = (s.p_tx * ((X - pos) ** 2 + Y ** 2 + h ** 2)
                     / (s.p_msi * (pos ** 2 + h ** 2))) >= gamma
-        d_mat = pos[None, :] - pos[:, None]  # hop from i to j
-        with np.errstate(divide="ignore"):
-            mid_sir = (s.p_uav * ch.eta_nlos
-                       * ((X - pos[None, :]) ** 2 + Y ** 2 + h ** 2)
-                       / (ch.mu_los * s.p_msi * d_mat ** 2))
-        mid_ok = (d_mat > 0.0) & (d_mat >= s.d_min) & (mid_sir >= gamma)
         last_ok = (s.p_uav * ch.mu_nlos * ((X - D) ** 2 + Y ** 2)
                    / (ch.eta_nlos * s.p_msi * ((D - pos) ** 2 + h ** 2))) >= gamma
     else:
         ups = upsilon_field(model)
         ups_pos = np.array([ups(float(p)) for p in pos])
         first_ok = (ups_pos * s.p_tx / (ch.eta_nlos * (pos ** 2 + h ** 2))) >= gamma
-        d_mat = pos[None, :] - pos[:, None]
-        with np.errstate(divide="ignore"):
-            mid_sir = (ups_pos[None, :] * s.p_uav
-                       / (ch.mu_los * d_mat ** 2))
-        mid_ok = (d_mat > 0.0) & (d_mat >= s.d_min) & (mid_sir >= gamma)
         last_ok = (ups_pos[-1] * s.p_uav
                    / (ch.eta_nlos * ((D - pos) ** 2 + h ** 2))) >= gamma
+    if n_max >= 1 and bool(np.any(first_ok & last_ok)):
+        return 1  # one UAV suffices: no need for the hop matrices
 
-    reach = first_ok.copy()
-    for n in range(1, n_max + 1):
-        if bool(np.any(reach & last_ok)):
-            return n
+    d_mat = pos[None, :] - pos[:, None]  # hop from i to j
+    with np.errstate(divide="ignore"):
+        if det:
+            mid_sir = (s.p_uav * ch.eta_nlos
+                       * ((X - pos[None, :]) ** 2 + Y ** 2 + h ** 2)
+                       / (ch.mu_los * s.p_msi * d_mat ** 2))
+        else:
+            mid_sir = (ups_pos[None, :] * s.p_uav
+                       / (ch.mu_los * d_mat ** 2))
+    mid_ok = (d_mat > 0.0) & (d_mat >= s.d_min) & (mid_sir >= gamma)
+
+    reach = first_ok
+    for n in range(2, n_max + 1):
         reach = (reach[:, None] & mid_ok).any(axis=0)
         if not reach.any():
             return None
+        if bool(np.any(reach & last_ok)):
+            return n
     return None
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Union
 
 from scipy.integrate import quad
 
-from .channel import Scenario
+from .channel import Scenario, require_positive
 from .errors import DomainError, InfeasibleError, NumericError
 from .multihop import IterationTrace, Placement
 
@@ -155,31 +155,40 @@ def beta_upsilon(alpha: float, beta: float, i_max: float) -> float:
     return (alpha + beta - 1.0) / ((alpha - 1.0) * i_max)
 
 
-def expected_sir_dual(model: InterferenceModel, s: Scenario,
-                      x: float, h: float) -> tuple[float, float]:
-    """Expected per-link SIRs of the dual-hop layout under the field."""
-    eta = s.channel.eta_nlos
-    ups = upsilon_field(model)
-    e1 = ups(x) * s.p_tx / (eta * (x ** 2 + h ** 2))
-    e2 = ups(s.distance_tx_rx) * s.p_uav / (eta * ((s.distance_tx_rx - x) ** 2 + h ** 2))
-    return e1, e2
+def _e_tx_link(ups: UpsilonField, s: Scenario, d1: float, h: float) -> float:
+    """Expected SIR of the Tx -> UAV link, the UAV at distance d1, altitude h."""
+    return ups(d1) * s.p_tx / (s.channel.eta_nlos * (d1 ** 2 + h ** 2))
 
 
-def expected_multihop_link_sirs(model: InterferenceModel, s: Scenario,
-                                hops: Sequence[float], h: float) -> list[float]:
-    """Expected per-link SIRs of a uniform-altitude chain under the field."""
-    ch = s.channel
-    ups = upsilon_field(model)
-    links = [ups(hops[0]) * s.p_tx / (ch.eta_nlos * (hops[0] ** 2 + h ** 2))]
+def _e_air_link(ups: UpsilonField, s: Scenario, pos: float, d_k: float) -> float:
+    """Expected SIR of a UAV -> UAV hop of length d_k ending at position pos."""
+    return ups(pos) * s.p_uav / (s.channel.mu_los * d_k ** 2)
+
+
+def _e_rx_link(ups: UpsilonField, s: Scenario, d_last: float, h: float) -> float:
+    """Expected SIR of the UAV -> Rx link, the UAV d_last short of the Rx."""
+    return (ups(s.distance_tx_rx) * s.p_uav
+            / (s.channel.eta_nlos * (d_last ** 2 + h ** 2)))
+
+
+def _e_links(ups: UpsilonField, s: Scenario, hops: Sequence[float],
+             h: float) -> list[float]:
+    """Expected per-link SIRs of a uniform-altitude chain, given the memo."""
+    links = [_e_tx_link(ups, s, hops[0], h)]
     pos = hops[0]
     for d_k in hops[1:-1]:
         if d_k <= 0.0:
             raise DomainError("middle hop distance must be > 0")
         pos += d_k
-        links.append(ups(pos) * s.p_uav / (ch.mu_los * d_k ** 2))
-    links.append(ups(s.distance_tx_rx) * s.p_uav
-                 / (ch.eta_nlos * (hops[-1] ** 2 + h ** 2)))
+        links.append(_e_air_link(ups, s, pos, d_k))
+    links.append(_e_rx_link(ups, s, hops[-1], h))
     return links
+
+
+def expected_multihop_link_sirs(model: InterferenceModel, s: Scenario,
+                                hops: Sequence[float], h: float) -> list[float]:
+    """Expected per-link SIRs of a uniform-altitude chain under the field."""
+    return _e_links(upsilon_field(model), s, hops, h)
 
 
 def single_uav_position(model: InterferenceModel, s: Scenario, h: float,
@@ -190,20 +199,20 @@ def single_uav_position(model: InterferenceModel, s: Scenario, h: float,
     transmitter-side expected SIR; once the target band is exhausted the best
     visited position wins.
     """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be > 0")
+    require_positive("epsilon", epsilon)
     eta = s.channel.eta_nlos
     D = s.distance_tx_rx
-    ups_d = upsilon_field(model)(D)
-    gamma_max = ups_d * s.p_uav / (eta * h ** 2)
-    gamma_min = ups_d * s.p_uav / (eta * (D ** 2 + h ** 2))
+    ups = upsilon_field(model)
+    ups_d = ups(D)
+    gamma_max = _e_rx_link(ups, s, 0.0, h)
+    gamma_min = _e_rx_link(ups, s, D, h)
     trace = IterationTrace(epsilon=epsilon)
     gamma = gamma_max
     visited: list[tuple[float, float, float]] = []  # (gamma, x, E[SIR1])
     while True:
         radicand = ups_d * s.p_uav / (eta * gamma) - h ** 2
         x = D - math.sqrt(max(radicand, 0.0))
-        e1, _ = expected_sir_dual(model, s, x, h)
+        e1 = _e_tx_link(ups, s, x, h)
         visited.append((gamma, x, e1))
         trace.append(gamma, Placement.uniform((x, D - x), h), min(gamma, e1))
         if e1 >= gamma:
@@ -346,12 +355,11 @@ def distributed_max_esir(model: InterferenceModel, s: Scenario, h: float,
     """
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be > 0")
+    require_positive("epsilon", epsilon)
     ups = upsilon_field(model)
     D = s.distance_tx_rx
     eta = s.channel.eta_nlos
-    gamma0 = ups(D) * s.p_uav / (eta * h ** 2)
+    gamma0 = _e_rx_link(ups, s, 0.0, h)
     trace = IterationTrace(epsilon=epsilon)
     gamma = gamma0
     max_iter = math.floor(gamma0 / epsilon) + 1
@@ -373,12 +381,11 @@ def distributed_max_esir(model: InterferenceModel, s: Scenario, h: float,
             d1 = max(D - sum(hops), 0.0)
         placement = Placement.uniform([d1] + hops, h)
         if all(d > 0.0 for d in placement.hop_distances[1:-1]):
-            esirs = expected_multihop_link_sirs(
-                model, s, placement.hop_distances, h)
+            esirs = _e_links(ups, s, placement.hop_distances, h)
             e1 = esirs[0]
             esys = min(esirs)
         else:
-            e1, _ = expected_sir_dual(model, s, d1, h)
+            e1 = _e_tx_link(ups, s, d1, h)
             esys = float("nan")
         trace.append(gamma, placement, esys)
         if e1 >= gamma:

@@ -21,7 +21,7 @@ from scipy.special import betaln
 
 import uavrelay
 from uavrelay.channel import (ChannelParams, Scenario, multihop_link_sirs,
-                              sir_dual_uav, sir_system_dual)
+                              sir_rx_link, sir_system_dual, sir_tx_link)
 from uavrelay.dualhop import (classify_case_fixed_h, locus_coefficients,
                               locus_discriminant, optimal_h_fixed_x,
                               optimal_position, optimal_x_fixed_h,
@@ -92,8 +92,8 @@ def test_criterion_02_planners_match_oracles(channel):
 
         h_hat = rng.uniform(s.h_min, s.h_max)
         xs = np.linspace(0.0, s.distance_tx_rx, 10000)
-        vals = np.array([sir_system_dual(s, float(v), h_hat).system_sir
-                         for v in xs])
+        vals = np.minimum(sir_tx_link(s, xs, h_hat),
+                          sir_rx_link(s, s.distance_tx_rx - xs, h_hat))
         x_best = optimal_x_fixed_h(s, h_hat)
         line_slack = float(np.abs(np.diff(vals)).max())
         if (sir_system_dual(s, x_best, h_hat).system_sir
@@ -102,8 +102,8 @@ def test_criterion_02_planners_match_oracles(channel):
 
         x_hat = rng.uniform(0.0, s.distance_tx_rx)
         hs = np.linspace(s.h_min, s.h_max, 10000)
-        vals = np.array([sir_system_dual(s, x_hat, float(v)).system_sir
-                         for v in hs])
+        vals = np.minimum(sir_tx_link(s, x_hat, hs),
+                          sir_rx_link(s, s.distance_tx_rx - x_hat, hs))
         h_best = optimal_h_fixed_x(s, x_hat)
         line_slack = float(np.abs(np.diff(vals)).max())
         if (sir_system_dual(s, x_hat, h_best).system_sir

@@ -91,6 +91,18 @@ def test_parse_field_variants(tmp_path):
     assert model.upsilon_at(1000.0) == pytest.approx(4.0 / 3.0)
 
 
+def test_parse_field_rejects_unsorted_knots(runner, tmp_path):
+    path = write_scenario_yaml(
+        tmp_path / "s.yaml",
+        extra="interference_field:\n  variant: tabulated_upsilon\n"
+              "  x_m: [0.0, 1000.0, 500.0]\n  upsilon: [2.0, 4.0, 3.0]\n"
+              "  altitude_m: 100.0")
+    with pytest.raises(SchemaError, match="strictly increasing"):
+        parse_scenario(str(path))
+    result = runner.invoke(main, ["stochastic-single", str(path), "--h", "20"])
+    assert result.exit_code == 2
+
+
 def test_parse_field_bad_variant(tmp_path):
     path = write_scenario_yaml(
         tmp_path / "s.yaml",
@@ -132,6 +144,49 @@ def test_dualhop_locus(runner, scenario_file, tmp_path):
     assert doc["outputs"]["samples"] == 64
     lines = (tmp_path / "locus.csv").read_text().splitlines()
     assert len(lines) == 65
+
+
+def test_dualhop_locus_last_sample_is_d(runner, tmp_path):
+    # D * 399 / 399 rounds above this D, which put the last sample past D.
+    d = 994.9141357377096
+    path = write_scenario_yaml(tmp_path / "s.yaml", d=d)
+    out = tmp_path / "locus"
+    run_ok(runner, ["dualhop-locus", str(path), "--samples", "400",
+                    "--out", str(out)])
+    last = (tmp_path / "locus.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == d
+
+
+def test_dualhop_locus_needs_two_samples(runner, scenario_file):
+    for samples in ("1", "0"):
+        result = runner.invoke(main, ["dualhop-locus", str(scenario_file),
+                                      "--samples", samples])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+def test_non_finite_inputs_exit_2(runner, scenario_file, tmp_path):
+    for gamma in ("nan", "inf", "x-1", "nandb"):
+        result = runner.invoke(main, ["multihop-design", str(scenario_file),
+                                      "--gamma", gamma, "--h", "20"])
+        assert result.exit_code == 2, (gamma, result.output)
+        assert "NaN" not in result.output
+    for axis in ("gamma=nan", "gamma=-1", "epsilon=nan"):
+        result = runner.invoke(main, ["sweep", str(scenario_file),
+                                      "multihop-distributed", "--param", axis,
+                                      "--n-uavs", "2", "--h", "20"])
+        assert result.exit_code == 2, (axis, result.output)
+    result = runner.invoke(main, ["sweep", str(scenario_file),
+                                  "multihop-design", "--param", "gamma=nan",
+                                  "--h", "20"])
+    assert result.exit_code == 2, result.output
+    result = runner.invoke(main, ["sweep", str(scenario_file),
+                                  "multihop-distributed", "--param", "h=20",
+                                  "--n-uavs", "2", "--epsilon", "nan"])
+    assert result.exit_code == 2, result.output
+    path = write_scenario_yaml(tmp_path / "s.yaml", msi_y=".nan")
+    result = runner.invoke(main, ["dualhop-opt", str(path)])
+    assert result.exit_code == 2, result.output
 
 
 def test_multihop_design(runner, scenario_file, tmp_path):
@@ -243,6 +298,19 @@ def test_sweep_zip_requires_equal_lengths(runner, scenario_file):
         "--param", "powers.p_uav_w=1:2:2",
         "--param", "geometry.msi_y_m=100:400:3", "--zip"])
     assert result.exit_code == 2
+
+
+def test_sweep_integer_flag_axis(runner, scenario_file, tmp_path):
+    doc = run_ok(runner, [
+        "sweep", str(scenario_file), "multihop-distributed",
+        "--param", "n-uavs=2:4:3", "--h", "20",
+        "--out", str(tmp_path / "sw")])
+    assert doc["outputs"] == {"ok": 3, "failed": 0}
+    result = runner.invoke(main, [
+        "sweep", str(scenario_file), "multihop-distributed",
+        "--param", "n-uavs=2:4:4", "--h", "20"])
+    assert result.exit_code == 2, result.output
+    assert "integers" in result.output
 
 
 def test_sweep_continues_past_infeasible_points(runner, scenario_file,

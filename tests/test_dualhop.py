@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavrelay.channel import ChannelParams, Scenario, sir_dual_rx, sir_dual_uav
+from uavrelay.channel import ChannelParams, Scenario, sir_rx_link, sir_tx_link
 from uavrelay.dualhop import (classify_case_fixed_h, locus_coefficients,
                               locus_discriminant, locus_heights,
                               optimal_h_fixed_x, optimal_position,
@@ -22,8 +22,8 @@ def test_locus_points_equalize_the_sirs(channel):
         x = s.distance_tx_rx * i / 49.0
         for p in locus_heights(s, x):
             found += 1
-            s1 = sir_dual_uav(s, p.x, p.h)
-            s2 = sir_dual_rx(s, p.x, p.h)
+            s1 = sir_tx_link(s, p.x, p.h)
+            s2 = sir_rx_link(s, s.distance_tx_rx - p.x, p.h)
             assert s1 == pytest.approx(s2, rel=1e-6)
     assert found > 0
 
@@ -68,7 +68,7 @@ def test_stationary_points_msi_at_origin(channel):
     pts = stationary_points(s, 50.0)
     assert pts.at_infinity
     # Monotone regime: SIR1 strictly decreases along x.
-    vals = [sir_dual_uav(s, x, 50.0) for x in (0.0, 100.0, 500.0, 1000.0)]
+    vals = [sir_tx_link(s, x, 50.0) for x in (0.0, 100.0, 500.0, 1000.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -78,9 +78,9 @@ def test_psi_x_is_a_minimum_of_sir1(channel):
     h = 30.0
     psi_x = stationary_points(s, h).psi_x
     eps = 1.0
-    left = sir_dual_uav(s, psi_x - eps, h)
-    mid = sir_dual_uav(s, psi_x, h)
-    right = sir_dual_uav(s, psi_x + eps, h)
+    left = sir_tx_link(s, psi_x - eps, h)
+    mid = sir_tx_link(s, psi_x, h)
+    right = sir_tx_link(s, psi_x + eps, h)
     assert mid < left and mid < right
 
 
@@ -88,8 +88,8 @@ def test_quartic_roots_equalize(channel):
     s = make_scenario(channel, msi_y=100.0, p_tx=10.0)
     roots = quartic_roots_fixed_h(s, 50.0)
     for x in roots:
-        assert sir_dual_uav(s, x, 50.0) == pytest.approx(
-            sir_dual_rx(s, x, 50.0), rel=1e-6)
+        assert sir_tx_link(s, x, 50.0) == pytest.approx(
+            sir_rx_link(s, s.distance_tx_rx - x, 50.0), rel=1e-6)
 
 
 def test_classify_case_ids_in_range(channel):
@@ -112,9 +112,11 @@ def test_optimal_x_fixed_h_beats_dense_grid(channel):
         vals = []
         for i in range(2001):
             x = s.distance_tx_rx * i / 2000.0
-            vals.append(min(sir_dual_uav(s, x, h), sir_dual_rx(s, x, h)))
+            vals.append(min(sir_tx_link(s, x, h),
+                            sir_rx_link(s, s.distance_tx_rx - x, h)))
         slack = max(abs(b - a) for a, b in zip(vals, vals[1:]))
-        achieved = min(sir_dual_uav(s, x_star, h), sir_dual_rx(s, x_star, h))
+        achieved = min(sir_tx_link(s, x_star, h),
+                       sir_rx_link(s, s.distance_tx_rx - x_star, h))
         assert achieved >= max(vals) - slack
 
 
@@ -127,9 +129,11 @@ def test_optimal_h_fixed_x_beats_dense_grid(channel):
         vals = []
         for i in range(2001):
             h = s.h_min + (s.h_max - s.h_min) * i / 2000.0
-            vals.append(min(sir_dual_uav(s, x, h), sir_dual_rx(s, x, h)))
+            vals.append(min(sir_tx_link(s, x, h),
+                            sir_rx_link(s, s.distance_tx_rx - x, h)))
         slack = max(abs(b - a) for a, b in zip(vals, vals[1:]))
-        achieved = min(sir_dual_uav(s, x, h_star), sir_dual_rx(s, x, h_star))
+        achieved = min(sir_tx_link(s, x, h_star),
+                       sir_rx_link(s, s.distance_tx_rx - x, h_star))
         assert achieved >= max(vals) - slack
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from uavrelay.channel import multihop_link_sirs, multihop_link_sirs_var_alt
+from uavrelay.channel import multihop_link_sirs
 from uavrelay.errors import DomainError, InfeasibleError
 from uavrelay.multihop import (Placement, design_min_uavs,
                                distributed_max_sir, feasibility_bound,
@@ -140,7 +140,7 @@ def test_refine_altitudes_monotone_and_valid(channel):
     for h in refined.altitudes:
         assert s.h_min <= h <= s.h_max
     # The final history entry matches a fresh evaluation of the placement.
-    sir = min(multihop_link_sirs_var_alt(
+    sir = min(multihop_link_sirs(
         s, list(refined.hop_distances), list(refined.altitudes)))
     assert sir == pytest.approx(history[-1], rel=1e-12)
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from uavrelay.channel import sir_dual_rx, sir_dual_uav
+from uavrelay.channel import sir_rx_link, sir_tx_link
 from uavrelay.errors import DomainError, InfeasibleError
 from uavrelay.multihop import design_min_uavs, feasibility_bound
 from uavrelay.oracle import (BaselineStats, GridSpec, exhaustive_min_uavs,
@@ -28,7 +28,7 @@ def test_grid_search_matches_manual_argmax(channel):
         xi = s.distance_tx_rx * i / 40.0
         for j in range(17):
             hj = s.h_min + (s.h_max - s.h_min) * j / 16.0
-            v = min(sir_dual_uav(s, xi, hj), sir_dual_rx(s, xi, hj))
+            v = min(sir_tx_link(s, xi, hj), sir_rx_link(s, s.distance_tx_rx - xi, hj))
             if v > best:
                 best, bx, bh = v, xi, hj
     assert sir == pytest.approx(best, rel=1e-12)
@@ -41,8 +41,9 @@ def test_grid_search_tie_breaks_toward_smaller_x(channel):
     s = make_scenario(channel, msi_x=500.0, msi_y=0.0, p_tx=1.0, p_uav=1.0)
     x, h, _ = grid_search_dual(s, GridSpec(21, 5))
     mirror_x = s.distance_tx_rx - x
-    v = min(sir_dual_uav(s, x, h), sir_dual_rx(s, x, h))
-    v_m = min(sir_dual_uav(s, mirror_x, h), sir_dual_rx(s, mirror_x, h))
+    v = min(sir_tx_link(s, x, h), sir_rx_link(s, s.distance_tx_rx - x, h))
+    v_m = min(sir_tx_link(s, mirror_x, h),
+              sir_rx_link(s, s.distance_tx_rx - mirror_x, h))
     if v == v_m:
         assert x <= mirror_x
 

@@ -10,7 +10,7 @@ from uavrelay.stochastic import (BetaField, DeterministicField, EmpiricalField,
                                  design_min_uavs_stochastic,
                                  distributed_max_esir,
                                  expected_multihop_link_sirs,
-                                 expected_sir_dual, single_uav_position,
+                                 single_uav_position,
                                  upsilon, upsilon_field)
 
 from conftest import make_scenario
@@ -100,7 +100,7 @@ def test_upsilon_field_memoizes():
 def test_expected_sir_dual_formula(channel):
     s = make_scenario(channel)
     model = BetaField(3.0, 1.0, 2.0, 100.0)  # Upsilon = 0.75 everywhere
-    e1, e2 = expected_sir_dual(model, s, 300.0, 50.0)
+    e1, e2 = expected_multihop_link_sirs(model, s, [300.0, 700.0], 50.0)
     eta = channel.eta_nlos
     assert e1 == pytest.approx(
         0.75 * s.p_tx / (eta * (300.0 ** 2 + 50.0 ** 2)), rel=1e-12)
@@ -131,7 +131,8 @@ def test_single_uav_position_beats_dense_grid(channel):
     best = 0.0
     for i in range(4001):
         xi = s.distance_tx_rx * i / 4000.0
-        e1, e2 = expected_sir_dual(model, s, xi, h)
+        e1, e2 = expected_multihop_link_sirs(
+            model, s, [xi, s.distance_tx_rx - xi], h)
         best = max(best, min(e1, e2))
     assert esir >= best - epsilon
     assert len(trace.gammas) >= 1
@@ -173,7 +174,8 @@ def test_distributed_esir_accepts_first_link(channel):
     h = 25.0
     gamma, placement, trace = distributed_max_esir(model, s, h, 5, 0.01)
     assert abs(sum(placement.hop_distances) - 500.0) < 1e-6
-    e1, _ = expected_sir_dual(model, s, placement.hop_distances[0], h)
+    d1 = placement.hop_distances[0]
+    e1, _ = expected_multihop_link_sirs(model, s, [d1, 500.0 - d1], h)
     assert e1 >= gamma * (1.0 - 1e-9) or len(trace.gammas) >= 1
 
 
