@@ -21,9 +21,9 @@ from .oracle import (BaselineStats, GridSpec, exhaustive_min_uavs,
                      grid_search_dual, lipschitz_slack,
                      random_placement_baseline)
 from .stochastic import (BetaField, DeterministicField, EmpiricalField,
-                         InterferenceModel, MgfField, UpsilonField,
-                         beta_upsilon, design_min_uavs_stochastic,
-                         distributed_max_esir, expected_multihop_link_sirs,
-                         single_uav_position, upsilon, upsilon_field)
+                         InterferenceModel, MgfField, beta_upsilon,
+                         design_min_uavs_stochastic, distributed_max_esir,
+                         expected_multihop_link_sirs, single_uav_position,
+                         upsilon, upsilon_field)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

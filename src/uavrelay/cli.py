@@ -24,7 +24,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .channel import ChannelParams, Scenario, require_positive
+from .channel import (ChannelParams, Scenario, multihop_link_sirs,
+                      require_positive)
 from .dualhop import classify_case_fixed_h, locus_heights, optimal_position
 from .errors import (DomainError, InfeasibleError, NumericError, PlanningError,
                      SchemaError)
@@ -378,7 +379,6 @@ def multihop_design(scenario, gamma, altitude, out):
     s, _, _ = parse_scenario(scenario)
     result = design_min_uavs(s, altitude, gamma)
     placement = result.placement
-    from .channel import multihop_link_sirs
     links = multihop_link_sirs(s, list(placement.hop_distances), altitude)
     rows = [{"hop": i, "distance_m": d,
              "position_m": sum(placement.hop_distances[:i + 1]),

@@ -66,16 +66,20 @@ class CaseLabel:
     c3: float | None
 
 
+def _locus_bc(X, Y, D, x, pt, r):
+    """B and C of the locus biquadratic, over floats or exact Fractions."""
+    b = (pt * (X - x) ** 2 + pt * (D - x) ** 2
+         - r * (D - X) ** 2 + Y ** 2 * (pt - r))
+    c = (pt * (D - x) ** 2 * ((X - x) ** 2 + Y ** 2)
+         - r * x ** 2 * (Y ** 2 + (D - X) ** 2))
+    return b, c
+
+
 def locus_coefficients(s: Scenario, x: float) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of A*h**4 + B*h**2 + C = 0 for SIR1 == SIR2."""
-    X, Y, D = s.msi_x, s.msi_y, s.distance_tx_rx
-    r = s.p_uav * s.channel.nlos_over_eta
-    a = s.p_tx
-    b = (s.p_tx * (X - x) ** 2 + s.p_tx * (D - x) ** 2
-         - r * (D - X) ** 2 + Y ** 2 * (s.p_tx - r))
-    c = (s.p_tx * (D - x) ** 2 * ((X - x) ** 2 + Y ** 2)
-         - r * x ** 2 * (Y ** 2 + (D - X) ** 2))
-    return a, b, c
+    b, c = _locus_bc(s.msi_x, s.msi_y, s.distance_tx_rx, x, s.p_tx,
+                     s.p_uav * s.channel.nlos_over_eta)
+    return s.p_tx, b, c
 
 
 def locus_discriminant(s: Scenario, x: float) -> float:
@@ -85,16 +89,10 @@ def locus_discriminant(s: Scenario, x: float) -> float:
     terms nearly cancel (e.g. the symmetric-power special case), so the
     inner arithmetic runs on exact rationals built from the float inputs.
     """
-    X = Fraction(s.msi_x)
-    Y = Fraction(s.msi_y)
-    D = Fraction(s.distance_tx_rx)
-    xf = Fraction(x)
     pt = Fraction(s.p_tx)
     r = Fraction(s.p_uav) * Fraction(s.channel.mu_nlos) / Fraction(s.channel.eta_nlos)
-    b = (pt * (X - xf) ** 2 + pt * (D - xf) ** 2
-         - r * (D - X) ** 2 + Y ** 2 * (pt - r))
-    c = (pt * (D - xf) ** 2 * ((X - xf) ** 2 + Y ** 2)
-         - r * xf ** 2 * (Y ** 2 + (D - X) ** 2))
+    b, c = _locus_bc(Fraction(s.msi_x), Fraction(s.msi_y),
+                     Fraction(s.distance_tx_rx), Fraction(x), pt, r)
     return float(b * b - 4 * pt * c)
 
 

@@ -128,9 +128,11 @@ def first_hop_distance(s: Scenario, h: float, gamma: float) -> float:
         d_minus, d_plus = min(r1, r2), max(r1, r2)
     psi_x = stationary_points(s, h).psi_x
     if d_plus > D:
-        if d_minus < 0.0:
-            raise InfeasibleError("gamma infeasible on the Tx-side link")
-        return d_minus
+        if d_minus >= 0.0:
+            return d_minus
+        if a < 0.0:
+            return D  # SIR above gamma between the roots, so on all of [0, D]
+        raise InfeasibleError("gamma infeasible on the Tx-side link")
     if d_plus < psi_x:  # d_plus <= D here
         return d_plus
     return D

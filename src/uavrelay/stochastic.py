@@ -4,8 +4,9 @@ The interference power at horizontal position x is a random variable I_x;
 all planners work with expected SIRs, which factor into a deterministic
 signal term times Upsilon_x = E(1/I_x).  Four field variants are supported:
 a degenerate (deterministic) level, a scaled Beta distribution with a
-closed-form Upsilon, a tabulated moment generating function integrated
-numerically, and raw per-position sample sets.
+closed-form Upsilon, a moment generating function M whose Upsilon_x =
+integral of M(-y) dy over [0, inf) is taken by Takahasi & Mori's (1974)
+exp-sinh (double-exponential) rule, and raw per-position sample sets.
 """
 
 from __future__ import annotations
@@ -15,17 +16,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
-from scipy.integrate import quad
-
 from .channel import Scenario, require_positive
 from .errors import DomainError, InfeasibleError, NumericError
-from .multihop import IterationTrace, Placement
+from .multihop import DesignResult, IterationTrace, Placement
 
-MGF_CUTOFF = 1e-12
 EMPIRICAL_MIN_SAMPLES = 1000
 D1_SCAN_POINTS = 4096
 RHO_STEPS = 64
 DESIGN_N_CAP = 512
+
+# Exp-sinh rule for integrals over [0, inf): y = exp(pi/2 sinh t) with step
+# 1/32 on t in [-4.5, 4.5], 289 nodes, each weighted by dy/dt times the step.
+_EXP_SINH_NODES = [math.exp(0.5 * math.pi * math.sinh(k / 32.0 - 4.5))
+                   for k in range(289)]
+_EXP_SINH_WEIGHTS = [math.pi / 64.0 * math.cosh(k / 32.0 - 4.5) * y
+                     for k, y in enumerate(_EXP_SINH_NODES)]
 
 
 def _as_fn(value) -> Callable[[float], float]:
@@ -70,26 +75,18 @@ class MgfField:
     altitude: float
 
     def upsilon_at(self, x: float) -> float:
-        m = lambda y: self.mgf(x, -y)
-        # Find a cutoff where the integrand is negligible.
-        y_cut = 1.0
-        for _ in range(200):
-            if m(y_cut) <= MGF_CUTOFF:
-                break
-            y_cut *= 2.0
-        else:
+        terms = [w * self.mgf(x, -y)
+                 for y, w in zip(_EXP_SINH_NODES, _EXP_SINH_WEIGHTS)]
+        fine = sum(terms)
+        coarse = 2.0 * sum(terms[::2])  # the same rule at step 1/16
+        if not math.isfinite(fine):
+            raise NumericError("MGF integral is not finite")
+        if abs(terms[-1]) > 1e-14 * abs(fine):
             raise NumericError("MGF integrand does not decay; E(1/I) may diverge")
-        head, err = quad(m, 0.0, y_cut, limit=400)
-        if not math.isfinite(head) or err > 1e-8 * max(abs(head), 1.0):
+        if abs(fine - coarse) > 1e-10 * abs(fine):
             raise NumericError(
-                f"quadrature of the MGF integral did not converge (err={err:g})")
-        # Exponential tail estimate from the local decay rate at the cutoff.
-        m_cut = m(y_cut)
-        m_prev = m(y_cut * 0.5)
-        if m_prev > m_cut > 0.0:
-            rate = math.log(m_prev / m_cut) / (0.5 * y_cut)
-            head += m_cut / rate
-        return head
+                "MGF integral changes when the quadrature step is halved")
+        return fine
 
 
 @dataclass(frozen=True)
@@ -123,16 +120,6 @@ InterferenceModel = Union[DeterministicField, BetaField, MgfField,
                           EmpiricalField]
 
 
-@dataclass(frozen=True)
-class UpsilonField:
-    """Memoizing x -> Upsilon_x evaluator built from an interference model."""
-
-    evaluator: Callable[[float], float]
-
-    def __call__(self, x: float) -> float:
-        return self.evaluator(x)
-
-
 def upsilon(model: InterferenceModel, x: float) -> float:
     """Expected reciprocal interference E(1/I_x) at horizontal position x."""
     value = model.upsilon_at(x)
@@ -141,8 +128,9 @@ def upsilon(model: InterferenceModel, x: float) -> float:
     return value
 
 
-def upsilon_field(model: InterferenceModel) -> UpsilonField:
-    return UpsilonField(lru_cache(maxsize=None)(lambda x: upsilon(model, x)))
+def upsilon_field(model: InterferenceModel) -> Callable[[float], float]:
+    """Memoizing x -> Upsilon_x evaluator of an interference model."""
+    return lru_cache(maxsize=None)(lambda x: upsilon(model, x))
 
 
 def beta_upsilon(alpha: float, beta: float, i_max: float) -> float:
@@ -155,24 +143,27 @@ def beta_upsilon(alpha: float, beta: float, i_max: float) -> float:
     return (alpha + beta - 1.0) / ((alpha - 1.0) * i_max)
 
 
-def _e_tx_link(ups: UpsilonField, s: Scenario, d1: float, h: float) -> float:
+def _e_tx_link(ups: Callable[[float], float], s: Scenario, d1: float,
+               h: float) -> float:
     """Expected SIR of the Tx -> UAV link, the UAV at distance d1, altitude h."""
     return ups(d1) * s.p_tx / (s.channel.eta_nlos * (d1 ** 2 + h ** 2))
 
 
-def _e_air_link(ups: UpsilonField, s: Scenario, pos: float, d_k: float) -> float:
+def _e_air_link(ups: Callable[[float], float], s: Scenario, pos: float,
+                d_k: float) -> float:
     """Expected SIR of a UAV -> UAV hop of length d_k ending at position pos."""
     return ups(pos) * s.p_uav / (s.channel.mu_los * d_k ** 2)
 
 
-def _e_rx_link(ups: UpsilonField, s: Scenario, d_last: float, h: float) -> float:
+def _e_rx_link(ups: Callable[[float], float], s: Scenario, d_last: float,
+               h: float) -> float:
     """Expected SIR of the UAV -> Rx link, the UAV d_last short of the Rx."""
     return (ups(s.distance_tx_rx) * s.p_uav
             / (s.channel.eta_nlos * (d_last ** 2 + h ** 2)))
 
 
-def _e_links(ups: UpsilonField, s: Scenario, hops: Sequence[float],
-             h: float) -> list[float]:
+def _e_links(ups: Callable[[float], float], s: Scenario,
+             hops: Sequence[float], h: float) -> list[float]:
     """Expected per-link SIRs of a uniform-altitude chain, given the memo."""
     links = [_e_tx_link(ups, s, hops[0], h)]
     pos = hops[0]
@@ -200,18 +191,15 @@ def single_uav_position(model: InterferenceModel, s: Scenario, h: float,
     visited position wins.
     """
     require_positive("epsilon", epsilon)
-    eta = s.channel.eta_nlos
     D = s.distance_tx_rx
     ups = upsilon_field(model)
-    ups_d = ups(D)
     gamma_max = _e_rx_link(ups, s, 0.0, h)
     gamma_min = _e_rx_link(ups, s, D, h)
     trace = IterationTrace(epsilon=epsilon)
     gamma = gamma_max
     visited: list[tuple[float, float, float]] = []  # (gamma, x, E[SIR1])
     while True:
-        radicand = ups_d * s.p_uav / (eta * gamma) - h ** 2
-        x = D - math.sqrt(max(radicand, 0.0))
+        x = D - math.sqrt(max(_rx_radicand(ups, s, h, gamma), 0.0))
         e1 = _e_tx_link(ups, s, x, h)
         visited.append((gamma, x, e1))
         trace.append(gamma, Placement.uniform((x, D - x), h), min(gamma, e1))
@@ -223,7 +211,7 @@ def single_uav_position(model: InterferenceModel, s: Scenario, h: float,
         gamma -= epsilon
 
 
-def _d1_solution_set(ups: UpsilonField, s: Scenario, h: float,
+def _d1_solution_set(ups: Callable[[float], float], s: Scenario, h: float,
                      gamma: float) -> list[tuple[float, float]]:
     """Intervals of d_1 in [0, D] where the first-link expected SIR >= gamma.
 
@@ -266,16 +254,18 @@ def _contains(intervals: Sequence[tuple[float, float]], value: float,
     return any(lo - tol <= value <= hi + tol for lo, hi in intervals)
 
 
-def _rx_max_distance(ups: UpsilonField, s: Scenario, h: float,
-                     gamma: float) -> float:
-    radicand = s.p_uav * ups(s.distance_tx_rx) / (s.channel.eta_nlos * gamma) - h ** 2
-    if radicand < 0.0:
-        raise InfeasibleError("gamma exceeds the receiver-side expected-SIR cap")
-    return math.sqrt(radicand)
+def _rx_radicand(ups: Callable[[float], float], s: Scenario, h: float,
+                 gamma: float) -> float:
+    """d_last**2 at which the UAV -> Rx expected SIR equals gamma.
+
+    Negative when gamma exceeds that link's cap, the UAV right above the Rx.
+    """
+    return (ups(s.distance_tx_rx) * s.p_uav / (s.channel.eta_nlos * gamma)
+            - h ** 2)
 
 
-def _backward_hops(ups: UpsilonField, s: Scenario, gamma: float,
-                   d_last: float, n_uavs: int) -> list[float]:
+def _backward_hops(ups: Callable[[float], float], s: Scenario,
+                   gamma: float, d_last: float, n_uavs: int) -> list[float]:
     """Middle hops d_n .. d_2 from the closed-form backward recursion.
 
     Returns hop distances in forward order [d_2, ..., d_n, d_last].
@@ -304,8 +294,6 @@ def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
     numerically computed solution set of the first-link inequality.  When the
     exact span equation has no solution the last hop is relaxed by rho.
     """
-    from .multihop import DesignResult
-
     if gamma <= 0.0:
         raise DomainError("gamma must be > 0")
     ups = upsilon_field(model)
@@ -313,7 +301,10 @@ def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
     d1_set = _d1_solution_set(ups, s, h, gamma)
     if not d1_set:
         raise InfeasibleError("no first-hop distance meets gamma (empty set)")
-    d_max = _rx_max_distance(ups, s, h, gamma)
+    radicand = _rx_radicand(ups, s, h, gamma)
+    if radicand < 0.0:
+        raise InfeasibleError("gamma exceeds the receiver-side expected-SIR cap")
+    d_max = math.sqrt(radicand)
     tol = 1e-9 * D
 
     # Single UAV: some admissible d_1 within d_max of the Rx.
@@ -358,14 +349,13 @@ def distributed_max_esir(model: InterferenceModel, s: Scenario, h: float,
     require_positive("epsilon", epsilon)
     ups = upsilon_field(model)
     D = s.distance_tx_rx
-    eta = s.channel.eta_nlos
     gamma0 = _e_rx_link(ups, s, 0.0, h)
     trace = IterationTrace(epsilon=epsilon)
     gamma = gamma0
     max_iter = math.floor(gamma0 / epsilon) + 1
     best = None
     for _ in range(max_iter):
-        d_last = math.sqrt(max(ups(D) * s.p_uav / (eta * gamma) - h ** 2, 0.0))
+        d_last = math.sqrt(max(_rx_radicand(ups, s, h, gamma), 0.0))
         hops = _backward_hops(ups, s, gamma, min(d_last, D), n_uavs)
         d1 = D - sum(hops)
         if d1 < 0.0:

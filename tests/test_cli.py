@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import uavrelay
 from uavrelay.cli import GAMMA, main, parse_scenario
 from uavrelay.errors import SchemaError
 from uavrelay.stochastic import BetaField, DeterministicField
@@ -18,6 +23,19 @@ def runner():
 @pytest.fixture
 def scenario_file(tmp_path):
     return write_scenario_yaml(tmp_path / "scenario.yaml", d_min=4.0)
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test-only dependency: importing the CLI must not load it."""
+    env = dict(os.environ)
+    package_root = str(Path(uavrelay.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = "import sys, uavrelay.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------- parsing

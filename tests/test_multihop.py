@@ -59,6 +59,24 @@ def test_first_hop_infeasible_gamma(channel):
         first_hop_distance(s, 20.0, cap * 100.0)
 
 
+def test_first_hop_whole_span_between_roots(channel):
+    """p_tx < gamma p_msi: the Tx-side SIR meets gamma between the roots of
+    its quadratic, here on all of [0, D], so one UAV above the Rx suffices."""
+    s = make_scenario(channel, d=476.16, msi_x=1.558, msi_y=439.19,
+                      p_tx=0.03462, p_uav=13.467, p_msi=0.07042,
+                      h_min=16.39, h_max=400.17)
+    h, gamma = 353.30, 0.6637
+    assert s.p_tx < gamma * s.p_msi
+    D = s.distance_tx_rx
+    assert first_hop_distance(s, h, gamma) == D
+    for d1 in (0.0, D / 2.0, D):
+        assert multihop_link_sirs(s, [d1, D - d1], h)[0] >= gamma
+    result = design_min_uavs(s, h, gamma)
+    assert result.placement.uav_count == 1
+    links = multihop_link_sirs(s, list(result.placement.hop_distances), h)
+    assert min(links) >= gamma
+
+
 def test_last_hop_max_distance_formula(channel):
     s = make_scenario(channel)
     h, gamma = 20.0, 5.0

@@ -67,6 +67,25 @@ def test_mgf_field_matches_beta_closed_form():
     assert upsilon(f, 0.0) == pytest.approx(math.log(2.0), rel=1e-6)
 
 
+def test_mgf_field_gamma_over_whole_octaves():
+    """Gamma interference, M(t) = (1 - theta t)^-k, has E(1/I) = 1/(theta (k-1));
+    log-spaced scales cover every fraction of log2(theta) many times."""
+    for k in (3.0, 4.0, 5.5):
+        for i in range(2000):
+            theta = 10.0 ** (-3.0 + 3.0 * i / 1999)
+            f = MgfField(lambda _x, t: (1.0 - theta * t) ** (-k), 100.0)
+            exact = 1.0 / (theta * (k - 1.0))
+            assert upsilon(f, 0.0) == pytest.approx(exact, rel=1e-12), (k, theta)
+
+
+def test_mgf_field_divergent_reciprocal_mean_raises():
+    """E(1/I) diverges for exponential and near-exponential Gamma interference."""
+    with pytest.raises(NumericError):
+        upsilon(MgfField(lambda _x, t: 2.0 / (2.0 - t), 100.0), 0.0)
+    with pytest.raises(NumericError):
+        upsilon(MgfField(lambda _x, t: (1.0 - 0.3 * t) ** -1.01, 100.0), 0.0)
+
+
 def test_empirical_field_bins_and_minimum_count():
     samples_a = tuple(1.0 + (i % 7) * 0.1 for i in range(1500))
     samples_b = tuple(2.0 + (i % 5) * 0.1 for i in range(1500))
