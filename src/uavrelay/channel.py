@@ -34,6 +34,12 @@ def require_non_negative(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def require_altitude(s: Scenario, h: float) -> None:
+    """Raise DomainError unless h lies in [h_min, h_max] (NaN fails)."""
+    if not (s.h_min <= h <= s.h_max):
+        raise DomainError("h outside [h_min, h_max]")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Attenuation coefficients of the LoS / NLoS / air-ground links.
@@ -190,8 +196,7 @@ def sir_system_dual(s: Scenario, x: float, h: float) -> SirReport:
     """Decode-and-forward system SIR of the dual-hop link (min of the two)."""
     if not (0.0 <= x <= s.distance_tx_rx):
         raise DomainError("x outside [0, D]")
-    if not (s.h_min <= h <= s.h_max):
-        raise DomainError("h outside [h_min, h_max]")
+    require_altitude(s, h)
     return SirReport.from_links((sir_tx_link(s, x, h),
                                  sir_rx_link(s, s.distance_tx_rx - x, h)))
 
@@ -237,8 +242,7 @@ def sir_multihop(s: Scenario, placement: "Placement") -> SirReport:
     if len(alts) != len(hops) - 1:
         raise DomainError("need one altitude per UAV")
     for h in alts:
-        if not (s.h_min <= h <= s.h_max):
-            raise DomainError("altitude outside [h_min, h_max]")
+        require_altitude(s, h)
     # Safe-guard on the 3-D separation of consecutive airborne nodes.
     for k in range(1, len(alts)):
         sep = math.hypot(hops[k], alts[k] - alts[k - 1])

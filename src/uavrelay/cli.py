@@ -456,10 +456,9 @@ def stochastic_single(scenario, altitude, epsilon, out):
     s, _, model = parse_scenario(scenario)
     model = _need_model(model)
     x, esir, trace = single_uav_position(model, s, altitude, epsilon)
-    rows = [{"iteration": i, "gamma": g, "x_m": p.hop_distances[0],
-             "expected_sir": v}
-            for i, (g, p, v) in enumerate(zip(trace.gammas, trace.placements,
-                                              trace.system_sirs))]
+    rows = [{"iteration": i, "gamma": g, "x_m": x_i, "expected_sir": v}
+            for i, (g, x_i, v) in enumerate(zip(trace.gammas, trace.first_hops,
+                                                trace.system_sirs))]
     record = ResultRecord(
         command=sys.argv[1:],
         parameters={**_scenario_params(s), "h_m": altitude, "epsilon": epsilon},

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import (Scenario, SirReport, sir_rx_link, sir_system_dual,
-                      sir_tx_link)
+from .channel import (Scenario, SirReport, require_altitude, sir_rx_link,
+                      sir_system_dual, sir_tx_link)
 from .errors import DomainError
 
 #: Relative tolerance on SIR1 == SIR2 at a reported locus point / quartic root.
@@ -163,8 +163,7 @@ def quartic_roots_fixed_h(s: Scenario, h_hat: float) -> list[float]:
     and are deduplicated within 1e-7 * D.  Every kept root equalizes the two
     SIRs within 1e-6 relative.
     """
-    if not (s.h_min <= h_hat <= s.h_max):
-        raise DomainError("h_hat outside [h_min, h_max]")
+    require_altitude(s, h_hat)
     s.channel.require_quadratic_exponent()
     D = s.distance_tx_rx
     coeffs = _quartic_coefficients(s, h_hat)
@@ -204,8 +203,7 @@ def classify_case_fixed_h(s: Scenario, h_hat: float) -> CaseLabel:
 
     Boundary equalities resolve toward the lower-numbered case.
     """
-    if not (s.h_min <= h_hat <= s.h_max):
-        raise DomainError("h_hat outside [h_min, h_max]")
+    require_altitude(s, h_hat)
     X, Y, D = s.msi_x, s.msi_y, s.distance_tx_rx
     moe = s.channel.nlos_over_eta  # mu_nlos / eta_nlos
     h2 = h_hat ** 2

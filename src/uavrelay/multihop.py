@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .channel import (Scenario, SirReport, multihop_link_sirs,
+                      require_altitude, require_non_negative,
                       require_positive, sir_air_link, sir_rx_link, sir_tx_link)
 from .dualhop import stationary_points
 from .errors import DomainError, InfeasibleError
@@ -69,15 +71,35 @@ class DesignResult:
 
 @dataclass
 class IterationTrace:
-    epsilon: float
+    """Per-round target, first hop d_1 and system SIR of an epsilon scan.
+
+    d_1 is 0.0 for a round whose chain fails, and the SIR NaN for a round
+    with no chain to evaluate; the stochastic planners record expected SIRs.
+    """
+
     gammas: list[float] = field(default_factory=list)
-    placements: list[Placement] = field(default_factory=list)
+    first_hops: list[float] = field(default_factory=list)
     system_sirs: list[float] = field(default_factory=list)
 
-    def append(self, gamma: float, placement: Placement, sir_s: float) -> None:
+    def append(self, gamma: float, first_hop: float, sir_s: float) -> None:
         self.gammas.append(gamma)
-        self.placements.append(placement)
+        self.first_hops.append(first_hop)
         self.system_sirs.append(sir_s)
+
+
+def lowered_targets(gamma0: float, epsilon: float) -> Iterator[float]:
+    """The targets gamma0, gamma0 - epsilon, ... of the epsilon scans.
+
+    Each is the previous minus epsilon (checked when the scan starts); at
+    most floor(gamma0 / epsilon) + 1, stopping before a target <= 0.
+    """
+    require_positive("epsilon", epsilon)
+    gamma = gamma0
+    for _ in range(math.floor(gamma0 / epsilon) + 1):
+        if gamma <= 0.0:
+            return
+        yield gamma
+        gamma -= epsilon
 
 
 def feasibility_bound(s: Scenario, h: float) -> float:
@@ -87,8 +109,7 @@ def feasibility_bound(s: Scenario, h: float) -> float:
     middle-link cap at the safe-guard spacing with the interferer at its
     worst position, and the Rx-side cap (last UAV above the Rx).
     """
-    if not (s.h_min <= h <= s.h_max):
-        raise DomainError("h outside [h_min, h_max]")
+    require_altitude(s, h)
     caps = [sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h)]
     if s.d_min > 0.0:
         # A hop of d_min with the interferer right below its receiving UAV.
@@ -102,8 +123,7 @@ def first_hop_distance(s: Scenario, h: float, gamma: float) -> float:
     Returns D as a sentinel when a single UAV above the Rx already meets the
     target (or the constraint holds everywhere).
     """
-    if gamma <= 0.0:
-        raise DomainError("gamma must be > 0")
+    require_positive("gamma", gamma)
     X, Y, D = s.msi_x, s.msi_y, s.distance_tx_rx
     a = s.p_tx - gamma * s.p_msi
     b = -2.0 * s.p_tx * X
@@ -140,8 +160,7 @@ def first_hop_distance(s: Scenario, h: float, gamma: float) -> float:
 
 def last_hop_max_distance(s: Scenario, h: float, gamma: float) -> float:
     """Maximum distance of the last UAV from the Rx meeting the target SIR."""
-    if gamma <= 0.0:
-        raise DomainError("gamma must be > 0")
+    require_positive("gamma", gamma)
     ch = s.channel
     X, Y, D = s.msi_x, s.msi_y, s.distance_tx_rx
     radicand = (s.p_uav * ch.mu_nlos * ((X - D) ** 2 + Y ** 2)
@@ -265,26 +284,19 @@ def _forward_chain(s: Scenario, h: float, gamma: float, n_uavs: int):
     """
     D = s.distance_tx_rx
     try:
-        d1 = min(first_hop_distance(s, h, gamma), D)
-    except InfeasibleError:
-        return None
-    hops = [d1]
-    consumed = d1
-    try:
+        consumed = min(first_hop_distance(s, h, gamma), D)
         d_max = last_hop_max_distance(s, h, gamma)
+        hops = [consumed]
+        for _ in range(1, n_uavs):
+            if consumed >= D:
+                hops.append(0.0)
+                continue
+            d_k, _ = middle_hop_distance(s, h, gamma, consumed, d_max)
+            d_k = min(max(d_k, 0.0), D - consumed)
+            hops.append(d_k)
+            consumed += d_k
     except InfeasibleError:
         return None
-    for _ in range(1, n_uavs):
-        if consumed >= D:
-            hops.append(0.0)
-            continue
-        try:
-            d_k, _ = middle_hop_distance(s, h, gamma, consumed, d_max)
-        except InfeasibleError:
-            return None
-        d_k = min(max(d_k, 0.0), D - consumed)
-        hops.append(d_k)
-        consumed += d_k
     return hops, consumed, d_max
 
 
@@ -292,39 +304,29 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
                         ) -> tuple[float, Placement, IterationTrace]:
     """Forward-propagation rounds lowering the target until the chain closes.
 
-    The target starts at min(SIR at the Tx-side with the UAV above the Tx,
-    SIR at the Rx-side with the last UAV above the Rx) and drops by epsilon
-    per round; UAV_N alone checks the closing condition against d_max.
+    The `lowered_targets` start at min(SIR at the Tx-side with the UAV above
+    the Tx, SIR at the Rx-side with the last UAV above the Rx); UAV_N alone
+    checks the closing condition against d_max.
     """
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
-    require_positive("epsilon", epsilon)
+    require_altitude(s, h)
     s.channel.require_quadratic_exponent()
     D = s.distance_tx_rx
     gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
-    trace = IterationTrace(epsilon=epsilon)
-    gamma = gamma0
-    max_iter = math.floor(gamma0 / epsilon) + 1
-    for _ in range(max_iter):
+    trace = IterationTrace()
+    for gamma in lowered_targets(gamma0, epsilon):
         result = _forward_chain(s, h, gamma, n_uavs)
-        if result is not None:
-            hops, consumed, d_max = result
-            closes = D - consumed <= d_max
-            placement = Placement.uniform(hops + [max(D - consumed, 0.0)], h)
-            hops = placement.hop_distances
-            if 0.0 in hops[1:-1]:
-                # Surplus UAVs stacked on one spot: a zero hop is no link.
-                hops = (hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1])
-            sir_s = min(multihop_link_sirs(s, hops, h))
-            trace.append(gamma, placement, sir_s)
-            if closes:
-                return gamma, placement, trace
-        else:
-            trace.append(gamma, Placement.uniform([0.0] * n_uavs + [D], h),
-                         float("nan"))
-        gamma -= epsilon
-        if gamma <= 0.0:
-            break
+        if result is None:
+            trace.append(gamma, 0.0, float("nan"))
+            continue
+        hops, consumed, d_max = result
+        hops.append(max(D - consumed, 0.0))
+        # Surplus UAVs stacked on one spot: a zero hop is no link.
+        links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
+        trace.append(gamma, hops[0], min(multihop_link_sirs(s, links, h)))
+        if D - consumed <= d_max:
+            return gamma, Placement.uniform(hops, h), trace
     raise InfeasibleError("no target SIR closed the chain; span not coverable")
 
 
@@ -408,8 +410,7 @@ def refine_altitudes(s: Scenario, start: Placement, eps_h: float,
     alternating-direction relaxation passes.  The system SIR is
     non-decreasing across iterations.
     """
-    if eps_h < 0.0:
-        raise DomainError("eps_h must be >= 0")
+    require_non_negative("eps_h", eps_h)
     if passes < 1:
         raise DomainError("passes must be >= 1")
     hops = list(start.hop_distances)

@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the analytic planners: dense
 grid argmax for the dual-hop optimum, a reachability search for the true
-minimum chain size, and seeded random placements for baseline comparisons.
+minimum chain size, and seeded random chains for baseline comparisons.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import Scenario, multihop_link_sirs
+from .channel import Scenario, multihop_link_sirs, require_altitude
 from .errors import DomainError
 from .stochastic import InterferenceModel, upsilon_field
 
@@ -89,6 +89,7 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
         raise DomainError("n_max capped at 8 (combinatorial guard)")
     if planner_kind == "stochastic" and model is None:
         raise DomainError("stochastic oracle needs an interference model")
+    require_altitude(s, h)
     D = s.distance_tx_rx
     ch = s.channel
     n_pos = per_hop_grid * 8 + 1
@@ -133,7 +134,7 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
 
 def random_placement_baseline(s: Scenario, n_uavs: int, trials: int,
                               seed: int) -> BaselineStats:
-    """System-SIR statistics of uniformly random chain placements.
+    """System-SIR statistics of chains placed uniformly at random.
 
     Hop distances are a symmetric Dirichlet split of the span, the shared
     altitude is uniform in the band; one child PCG64 stream per trial keeps

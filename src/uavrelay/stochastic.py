@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
-from .channel import Scenario, require_positive
+from .channel import Scenario, require_altitude, require_positive
 from .errors import DomainError, InfeasibleError, NumericError
-from .multihop import DesignResult, IterationTrace, Placement
+from .multihop import DesignResult, IterationTrace, Placement, lowered_targets
 
 EMPIRICAL_MIN_SAMPLES = 1000
 D1_SCAN_POINTS = 4096
@@ -184,31 +184,29 @@ def expected_multihop_link_sirs(model: InterferenceModel, s: Scenario,
 
 def single_uav_position(model: InterferenceModel, s: Scenario, h: float,
                         epsilon: float) -> tuple[float, float, IterationTrace]:
-    """Iteratively lower the target expected SIR until the first link holds.
+    """Lower the target expected SIR until the first link holds.
 
-    Each probe inverts the receiver-side expected SIR for x, then checks the
-    transmitter-side expected SIR; once the target band is exhausted the best
-    visited position wins.
+    The targets are the `lowered_targets`.  Each probe inverts the
+    receiver-side expected SIR for x, then checks the transmitter-side
+    expected SIR; once the target band is exhausted the first round with
+    the best min(target, E[SIR_1]) wins.
     """
-    require_positive("epsilon", epsilon)
+    require_altitude(s, h)
     D = s.distance_tx_rx
     ups = upsilon_field(model)
     gamma_max = _e_rx_link(ups, s, 0.0, h)
     gamma_min = _e_rx_link(ups, s, D, h)
-    trace = IterationTrace(epsilon=epsilon)
-    gamma = gamma_max
-    visited: list[tuple[float, float, float]] = []  # (gamma, x, E[SIR1])
-    while True:
+    trace = IterationTrace()
+    for gamma in lowered_targets(gamma_max, epsilon):
         x = D - math.sqrt(max(_rx_radicand(ups, s, h, gamma), 0.0))
         e1 = _e_tx_link(ups, s, x, h)
-        visited.append((gamma, x, e1))
-        trace.append(gamma, Placement.uniform((x, D - x), h), min(gamma, e1))
+        trace.append(gamma, x, min(gamma, e1))
         if e1 >= gamma:
             return x, min(gamma, e1), trace
         if gamma - epsilon <= gamma_min:
-            g_b, x_b, e_b = max(visited, key=lambda t: min(t[0], t[2]))
-            return x_b, min(g_b, e_b), trace
-        gamma -= epsilon
+            break
+    best = trace.system_sirs.index(max(trace.system_sirs))
+    return trace.first_hops[best], trace.system_sirs[best], trace
 
 
 def _d1_solution_set(ups: Callable[[float], float], s: Scenario, h: float,
@@ -294,8 +292,8 @@ def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
     numerically computed solution set of the first-link inequality.  When the
     exact span equation has no solution the last hop is relaxed by rho.
     """
-    if gamma <= 0.0:
-        raise DomainError("gamma must be > 0")
+    require_positive("gamma", gamma)
+    require_altitude(s, h)
     ups = upsilon_field(model)
     D = s.distance_tx_rx
     d1_set = _d1_solution_set(ups, s, h, gamma)
@@ -338,23 +336,22 @@ def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
 def distributed_max_esir(model: InterferenceModel, s: Scenario, h: float,
                          n_uavs: int, epsilon: float
                          ) -> tuple[float, Placement, IterationTrace]:
-    """Backward-propagation rounds lowering the target expected SIR.
+    """Backward-propagation rounds over the `lowered_targets` expected SIRs.
 
     Positions flow from the receiver side toward the transmitter so every
     middle hop can use the closed-form recursion; the first link's expected
-    SIR is the acceptance check.
+    SIR is the acceptance check.  With no round accepted, the first round
+    with the best min(target, E[SIR_1]) is returned.
     """
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
-    require_positive("epsilon", epsilon)
+    require_altitude(s, h)
     ups = upsilon_field(model)
     D = s.distance_tx_rx
     gamma0 = _e_rx_link(ups, s, 0.0, h)
-    trace = IterationTrace(epsilon=epsilon)
-    gamma = gamma0
-    max_iter = math.floor(gamma0 / epsilon) + 1
-    best = None
-    for _ in range(max_iter):
+    trace = IterationTrace()
+    best = None  # (min(gamma, E[SIR_1]), gamma, hops) of the best round
+    for gamma in lowered_targets(gamma0, epsilon):
         d_last = math.sqrt(max(_rx_radicand(ups, s, h, gamma), 0.0))
         hops = _backward_hops(ups, s, gamma, min(d_last, D), n_uavs)
         d1 = D - sum(hops)
@@ -369,22 +366,19 @@ def distributed_max_esir(model: InterferenceModel, s: Scenario, h: float,
             else:
                 hops = [0.0] * (n_uavs - 1) + [min(hops[-1], D)]
             d1 = max(D - sum(hops), 0.0)
-        placement = Placement.uniform([d1] + hops, h)
-        if all(d > 0.0 for d in placement.hop_distances[1:-1]):
-            esirs = _e_links(ups, s, placement.hop_distances, h)
+        hops = [d1] + hops
+        if all(d > 0.0 for d in hops[1:-1]):
+            esirs = _e_links(ups, s, hops, h)
             e1 = esirs[0]
             esys = min(esirs)
         else:
             e1 = _e_tx_link(ups, s, d1, h)
             esys = float("nan")
-        trace.append(gamma, placement, esys)
+        trace.append(gamma, d1, esys)
         if e1 >= gamma:
-            return gamma, placement, trace
+            return gamma, Placement.uniform(hops, h), trace
         if best is None or min(gamma, e1) > best[0]:
-            best = (min(gamma, e1), gamma, placement)
-        gamma -= epsilon
-        if gamma <= 0.0:
-            break
+            best = (min(gamma, e1), gamma, hops)
     if best is not None:
-        return best[1], best[2], trace
+        return best[1], Placement.uniform(best[2], h), trace
     raise InfeasibleError("no probed target closed the chain")

@@ -207,6 +207,48 @@ def test_non_finite_inputs_exit_2(runner, scenario_file, tmp_path):
     assert result.exit_code == 2, result.output
 
 
+#: Every command that takes --h, with the other flags it needs.
+ALTITUDE_COMMANDS = {
+    "multihop-design": ["--gamma", "x5"],
+    "multihop-distributed": ["--n-uavs", "3"],
+    "refine-altitudes": ["--n-uavs", "3", "--iterations", "1"],
+    "stochastic-single": ["--epsilon", "1e-9"],
+    "stochastic-design": ["--gamma", "1e-7"],
+    "stochastic-distributed": ["--n-uavs", "3", "--epsilon", "1e-9"],
+    "oracle-exhaustive": ["--gamma", "x5", "--per-hop-grid", "8"],
+    "oracle-exhaustive-stochastic": ["--gamma", "1e-7", "--kind", "stochastic",
+                                     "--per-hop-grid", "8"],
+    "dualhop-case": [],
+}
+
+
+@pytest.mark.parametrize("h", ["nan", "0", "2", "1e6"])
+@pytest.mark.parametrize("name", sorted(ALTITUDE_COMMANDS))
+def test_altitude_outside_band_exits_2(runner, tmp_path, name, h):
+    """The band is [5, 400]: NaN, zero, below and far above all exit 2."""
+    path = write_scenario_yaml(
+        tmp_path / "s.yaml", d_min=4.0,
+        extra="interference_field:\n  variant: beta\n  alpha: 3.0\n"
+              "  beta: 1.0\n  i_max_w: 1.0\n  altitude_m: 100.0")
+    command = name.removesuffix("-stochastic")
+    result = runner.invoke(main, [command, str(path), "--h", h,
+                                  *ALTITUDE_COMMANDS[name]])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "h outside [h_min, h_max]" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_refine_eps_h_nan_exits_2(runner, scenario_file):
+    result = runner.invoke(main, ["refine-altitudes", str(scenario_file),
+                                  "--n-uavs", "3", "--h", "20",
+                                  "--iterations", "1", "--eps-h", "nan"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "eps_h must be finite" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_multihop_design(runner, scenario_file, tmp_path):
     out = tmp_path / "design"
     doc = run_ok(runner, ["multihop-design", str(scenario_file),

@@ -2,13 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from uavrelay.channel import multihop_link_sirs
 from uavrelay.errors import DomainError, InfeasibleError
 from uavrelay.multihop import (Placement, design_min_uavs,
                                distributed_max_sir, feasibility_bound,
                                first_hop_distance, last_hop_max_distance,
-                               middle_hop_distance, refine_altitudes)
+                               lowered_targets, middle_hop_distance,
+                               refine_altitudes)
 
 from conftest import make_scenario, random_scenario
 
@@ -57,6 +59,15 @@ def test_first_hop_infeasible_gamma(channel):
     cap = feasibility_bound(s, 20.0)
     with pytest.raises(InfeasibleError):
         first_hop_distance(s, 20.0, cap * 100.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, math.nan, math.inf])
+def test_hop_helpers_reject_bad_gamma(channel, gamma):
+    s = make_scenario(channel)
+    with pytest.raises(DomainError):
+        first_hop_distance(s, 20.0, gamma)
+    with pytest.raises(DomainError):
+        last_hop_max_distance(s, 20.0, gamma)
 
 
 def test_first_hop_whole_span_between_roots(channel):
@@ -134,6 +145,36 @@ def test_distributed_closes_and_respects_epsilon_band(channel):
     assert trace.gammas[-1] == pytest.approx(gamma)
 
 
+def test_lowered_targets_steps_down_by_epsilon():
+    assert list(lowered_targets(1.0, 0.25)) == [1.0, 0.75, 0.5, 0.25]
+
+
+@given(gamma0=st.floats(1e-6, 1e6), rounds=st.floats(0.5, 2000.0))
+def test_lowered_targets_stay_positive_within_the_round_budget(gamma0, rounds):
+    epsilon = gamma0 / rounds
+    targets = list(lowered_targets(gamma0, epsilon))
+    assert targets[0] == gamma0
+    assert all(g > 0.0 for g in targets)
+    assert len(targets) <= math.floor(gamma0 / epsilon) + 1
+    assert all(b == a - epsilon for a, b in zip(targets, targets[1:]))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+def test_lowered_targets_rejects_bad_epsilon(epsilon):
+    with pytest.raises(DomainError):
+        next(lowered_targets(1.0, epsilon))
+
+
+def test_distributed_trace_is_one_row_per_round(channel):
+    s = make_scenario(channel, d_min=4.0)
+    gamma, placement, trace = distributed_max_sir(s, 20.0, 10, 0.1)
+    assert len(trace.gammas) == len(trace.first_hops) == len(trace.system_sirs)
+    assert trace.first_hops[-1] == placement.hop_distances[0]
+    hops = placement.hop_distances
+    links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
+    assert trace.system_sirs[-1] == min(multihop_link_sirs(s, links, 20.0))
+
+
 def test_distributed_gamma_grows_with_fleet(channel):
     s = make_scenario(channel, d_min=4.0)
     finals = [distributed_max_sir(s, 20.0, n, 0.1)[0] for n in (5, 10, 20)]
@@ -146,6 +187,9 @@ def test_distributed_input_validation(channel):
         distributed_max_sir(s, 20.0, 0, 0.1)
     with pytest.raises(DomainError):
         distributed_max_sir(s, 20.0, 5, 0.0)
+    for h in (math.nan, 0.0, 2.0, 1e6):
+        with pytest.raises(DomainError, match="h outside"):
+            distributed_max_sir(s, h, 5, 0.1)
 
 
 def test_refine_altitudes_monotone_and_valid(channel):
@@ -182,8 +226,9 @@ def test_refine_altitudes_keeps_3d_separation(channel):
 def test_refine_altitudes_validation(channel):
     s = make_scenario(channel)
     start = Placement.uniform((500.0, 500.0), 50.0)
-    with pytest.raises(DomainError):
-        refine_altitudes(s, start, -1.0, 5)
+    for eps_h in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            refine_altitudes(s, start, eps_h, 5)
     with pytest.raises(DomainError):
         refine_altitudes(s, start, 10.0, 5, passes=0)
 

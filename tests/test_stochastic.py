@@ -154,7 +154,8 @@ def test_single_uav_position_beats_dense_grid(channel):
             model, s, [xi, s.distance_tx_rx - xi], h)
         best = max(best, min(e1, e2))
     assert esir >= best - epsilon
-    assert len(trace.gammas) >= 1
+    assert len(trace.gammas) == len(trace.first_hops) == len(trace.system_sirs)
+    assert (x, esir) in zip(trace.first_hops, trace.system_sirs)
 
 
 def test_design_stochastic_meets_target_on_every_link(channel):
@@ -185,6 +186,8 @@ def test_design_stochastic_infeasible_target(channel):
     model = BetaField(3.0, 1.0, 1.0, 100.0)
     with pytest.raises(InfeasibleError):
         design_min_uavs_stochastic(model, s, 20.0, 1e12)
+    with pytest.raises(DomainError, match="gamma must be finite"):
+        design_min_uavs_stochastic(model, s, 20.0, math.nan)
 
 
 def test_distributed_esir_accepts_first_link(channel):
@@ -196,6 +199,29 @@ def test_distributed_esir_accepts_first_link(channel):
     d1 = placement.hop_distances[0]
     e1, _ = expected_multihop_link_sirs(model, s, [d1, 500.0 - d1], h)
     assert e1 >= gamma * (1.0 - 1e-9) or len(trace.gammas) >= 1
+
+
+def test_distributed_esir_trace_is_one_row_per_round(channel):
+    s = make_scenario(channel, d=500.0, msi_x=250.0, msi_y=100.0)
+    model = BetaField(4.0, 2.0, 2.0, 100.0)
+    h = 25.0
+    gamma0 = beta_upsilon(4.0, 2.0, 2.0) * s.p_uav / (channel.eta_nlos * h ** 2)
+    gamma, placement, trace = distributed_max_esir(model, s, h, 5, gamma0 / 100)
+    assert len(trace.gammas) == len(trace.first_hops) == len(trace.system_sirs)
+    assert trace.gammas[-1] == gamma
+    assert trace.first_hops[-1] == placement.hop_distances[0]
+
+
+@pytest.mark.parametrize("h", [math.nan, 0.0, 2.0, 1e6])
+def test_stochastic_planners_reject_altitude_outside_band(channel, h):
+    s = make_scenario(channel, d=300.0, msi_x=150.0, msi_y=100.0)
+    model = BetaField(3.0, 1.0, 1.0, 100.0)
+    with pytest.raises(DomainError, match="h outside"):
+        single_uav_position(model, s, h, 1e-9)
+    with pytest.raises(DomainError, match="h outside"):
+        distributed_max_esir(model, s, h, 3, 1e-9)
+    with pytest.raises(DomainError, match="h outside"):
+        design_min_uavs_stochastic(model, s, h, 1e-7)
 
 
 def test_distributed_esir_gamma_grows_with_fleet(channel):
