@@ -9,6 +9,7 @@ per-UAV rectangle-exploration heuristic that also adjusts altitudes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -19,7 +20,7 @@ from .channel import (Scenario, SirReport, multihop_link_sirs,
                       require_altitude, require_non_negative,
                       require_positive, sir_air_link, sir_rx_link, sir_tx_link)
 from .dualhop import stationary_points
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, NumericError
 
 #: |X - consumed| below this (times D) flips the middle-hop stationary point
 #: to the monotone-decreasing sentinel.
@@ -35,6 +36,14 @@ REFINE_GRID_H = 33
 #: to make visible progress.
 REFINE_PASSES = 12
 REFINE_ZOOMS = 3
+
+#: `distributed_max_sir` scores its first two targets one scalar round at a
+#: time, then chunks of targets in lockstep: LOCKSTEP_FIRST, doubling up to
+#: LOCKSTEP_CHUNK, which keeps the scan's memory flat.  A lockstep call
+#: costs about 25 scalar rounds of the same fleet, so chunks that start
+#: small make scans of a few hundred rounds slower than scalar rounds.
+LOCKSTEP_FIRST = 256
+LOCKSTEP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -86,20 +95,35 @@ class IterationTrace:
         self.first_hops.append(first_hop)
         self.system_sirs.append(sir_s)
 
+    def extend(self, gammas: np.ndarray, first_hops: np.ndarray,
+               sirs: np.ndarray) -> None:
+        """Append one row per element of three equal-length arrays."""
+        self.gammas += gammas.tolist()
+        self.first_hops += first_hops.tolist()
+        self.system_sirs += sirs.tolist()
+
 
 def lowered_targets(gamma0: float, epsilon: float) -> Iterator[float]:
     """The targets gamma0, gamma0 - epsilon, ... of the epsilon scans.
 
-    Each is the previous minus epsilon (checked when the scan starts); at
-    most floor(gamma0 / epsilon) + 1, stopping before a target <= 0.
+    Each is the previous minus epsilon; at most floor(gamma0 / epsilon) + 1,
+    stopping before a target <= 0.  When the scan starts, epsilon must be
+    finite and > 0 (DomainError) and gamma0 not infinite or NaN
+    (NumericError).  Asking for a target that the subtraction leaves
+    unchanged (epsilon below the float spacing at gamma) raises DomainError.
     """
     require_positive("epsilon", epsilon)
-    gamma = gamma0
-    for _ in range(math.floor(gamma0 / epsilon) + 1):
-        if gamma <= 0.0:
-            return
+    if not math.isfinite(gamma0):
+        raise NumericError(f"start target is not finite: {gamma0!r}")
+    rounds = gamma0 / epsilon  # k <= rounds is k <= floor(rounds), inf too
+    gamma, k = gamma0, 0
+    while k <= rounds and gamma > 0.0:
         yield gamma
-        gamma -= epsilon
+        lowered = gamma - epsilon
+        if lowered == gamma:
+            raise DomainError(
+                f"epsilon {epsilon!r} does not lower the target {gamma!r}")
+        gamma, k = lowered, k + 1
 
 
 def feasibility_bound(s: Scenario, h: float) -> float:
@@ -300,13 +324,168 @@ def _forward_chain(s: Scenario, h: float, gamma: float, n_uavs: int):
     return hops, consumed, d_max
 
 
+def _scalar_round(s: Scenario, h: float, gamma: float, n_uavs: int):
+    """One round of the scan: (d_1, system SIR, closes, hops) for one target.
+
+    A round where some link cannot reach gamma is (0.0, NaN, False, None).
+    The system SIR skips the zero hops of surplus UAVs stacked on one spot:
+    a zero hop is no link.
+    """
+    result = _forward_chain(s, h, gamma, n_uavs)
+    if result is None:
+        return 0.0, math.nan, False, None
+    hops, consumed, d_max = result
+    D = s.distance_tx_rx
+    hops.append(max(D - consumed, 0.0))
+    links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
+    sir = min(multihop_link_sirs(s, links, h))
+    return hops[0], sir, D - consumed <= d_max, hops
+
+
+def _forward_rounds(s: Scenario, h: float, gammas: np.ndarray, n_uavs: int):
+    """`_scalar_round` for a whole array of targets, one lane per target.
+
+    Every lane rounds as the scalar round does: squares go through
+    np.float_power(x, 2.0), which calls the C library's pow like float ** 2
+    (an array's x ** 2 is x * x, which differs in the last bit on about one
+    input in a thousand), the operand order and grouping are the scalar
+    code's, and min/max are the comparisons Python's min and max make.  A
+    lane whose hop is infeasible is masked out instead of raising.  Returns
+    the arrays (ok, d_1, consumed, d_max, system SIR, suspect); suspect
+    marks the lanes where the scalar round may raise instead: a square that
+    overflows (OverflowError), a positive middle hop whose square underflows
+    (DomainError) or a divisor that underflows to zero (ZeroDivisionError).
+    """
+    D, X = s.distance_tx_rx, s.msi_x
+    ch = s.channel
+    h2, y2 = h ** 2, s.msi_y ** 2
+    rx_num = s.p_uav * ch.mu_nlos * ((X - D) ** 2 + y2)
+    q = s.p_uav / ch.mu_los
+    phi_tol = PHI_DENOM_RTOL * D
+    with np.errstate(all="ignore"):
+        big = np.zeros_like(gammas)  # largest square of each lane, NaN skipped
+
+        def sq(x):
+            x2 = np.float_power(x, 2.0)
+            np.fmax(big, x2, out=big)
+            return x2
+
+        # first_hop_distance
+        a = s.p_tx - gammas * s.p_msi
+        b = -2.0 * s.p_tx * X
+        c = s.p_tx * (X ** 2 + y2) + h2 * a
+        lin = np.abs(a) <= 1e-12 * s.p_tx
+        disc = b * b - 4.0 * a * c
+        root = np.sqrt(disc)
+        r1 = (-b - root) / (2.0 * a)
+        r2 = (-b + root) / (2.0 * a)
+        d_minus = np.where(r2 < r1, r2, r1)
+        d_plus = np.where(r2 > r1, r2, r1)
+        flat = np.zeros_like(lin)  # D where c >= 0, else infeasible
+        if b == 0.0:
+            flat = lin
+        else:
+            d_lin = -c / b
+            d_minus = np.where(lin, d_lin, d_minus)
+            d_plus = np.where(lin, d_lin, d_plus)
+        neg = ~lin & (disc < 0.0)  # D where a > 0, else infeasible
+        over = d_plus > D
+        d1 = np.where(flat | neg, D, np.where(
+            over, np.where(d_minus >= 0.0, d_minus, D),
+            np.where(d_plus < stationary_points(s, h).psi_x, d_plus, D)))
+        ok = np.where(flat, c >= 0.0, np.where(
+            neg, a > 0.0, ~over | (d_minus >= 0.0) | (a < 0.0)))
+        consumed = d1 = np.where(D < d1, D, d1)
+
+        # last_hop_max_distance
+        divisor = gammas * s.p_msi * ch.eta_nlos
+        suspect = ~(divisor > 0.0)
+        radicand = rx_num / divisor - h2
+        ok &= ~(radicand < 0.0)
+        d_max = np.sqrt(radicand)
+
+        # The system SIR is a running minimum over the links, Tx side first.
+        span = X - consumed
+        span2 = sq(span)
+        sir = s.p_tx * (span2 + y2 + h2) / (s.p_msi * (sq(consumed) + h2))
+
+        # middle_hop_distance, one hop of every lane at a time
+        am = q - gammas * s.p_msi / ch.eta_nlos
+        q_am = q * am
+        lin = np.abs(am) <= 1e-12 * q
+        any_lin = bool(lin.any())
+        finish_base = D - d_max
+        for _ in range(1, n_uavs):
+            going = ~(consumed >= D)  # lanes whose chain has not reached D
+            cc = h2 + y2 + span2
+            remaining = D - consumed
+            finish = finish_base - consumed
+            finish = np.where(0.0 > finish, 0.0, finish)
+            # |span| > tol and span > 0 is span > tol, as tol > 0.
+            phi = np.where((span * s.p_uav != 0.0) & (span > phi_tol),
+                           cc / span, math.inf)
+            qs = q * span
+            disc = sq(qs) - q_am * cc
+            root = np.sqrt(disc)
+            r1 = (qs - root) / am
+            r2 = (qs + root) / am
+            d_minus = np.where(r2 < r1, r2, r1)
+            d_plus = np.where(r2 > r1, r2, r1)
+            neg = disc < 0.0  # finish where a > 0, else infeasible
+            over = d_plus > remaining
+            bad = np.where(neg, ~(am > 0.0), over & (d_minus < 0.0))
+            if any_lin:
+                d_lin = cc / (2.0 * span)
+                d_minus = np.where(lin, d_lin, d_minus)
+                d_plus = np.where(lin, d_lin, d_plus)
+                neg &= ~lin
+                over = d_plus > remaining
+                bad = np.where(lin, (span == 0.0) | (over & (d_minus < 0.0)), bad)
+            d_k = np.where(neg, finish, np.where(
+                over, d_minus, np.where(
+                    d_plus < phi, d_plus, np.where(
+                        (finish >= d_plus) | (finish <= d_minus), finish,
+                        np.where(d_minus >= 0.0, d_minus, finish)))))
+            d_k = np.where(0.0 > d_k, 0.0, d_k)
+            d_k = np.where(remaining < d_k, remaining, d_k)
+            d_k = np.where(going, d_k, 0.0)
+            ok &= ~(going & bad)
+            consumed = consumed + d_k
+            span = X - consumed
+            span2 = sq(span)
+            # The air link into this UAV, unless it is a stacked zero hop.
+            link = d_k > 0.0
+            divisor = ch.mu_los * s.p_msi * sq(d_k)
+            suspect |= link & ~(divisor > 0.0)
+            air = s.p_uav * ch.eta_nlos * (span2 + y2 + h2) / divisor
+            sir = np.where(link & (air < sir), air, sir)
+
+        d_last = D - consumed
+        d_last = np.where(0.0 > d_last, 0.0, d_last)
+        rx = rx_num / (ch.eta_nlos * s.p_msi * (sq(d_last) + h2))
+        sir = np.where(rx < sir, rx, sir)
+        suspect |= np.isinf(big)
+    return ok, d1, consumed, d_max, sir, suspect
+
+
 def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
                         ) -> tuple[float, Placement, IterationTrace]:
     """Forward-propagation rounds lowering the target until the chain closes.
 
     The `lowered_targets` start at min(SIR at the Tx-side with the UAV above
     the Tx, SIR at the Rx-side with the last UAV above the Rx); UAV_N alone
-    checks the closing condition against d_max.
+    checks the closing condition against d_max.  Whether a round closes is
+    not monotone in the target, so the rounds run in order and the first
+    that closes wins.
+
+    The first two rounds run one `_scalar_round` each; the rest run in
+    lockstep (`_forward_rounds`) over chunks of `LOCKSTEP_FIRST` targets,
+    doubling up to `LOCKSTEP_CHUNK`.  The answer, the placement and every
+    trace row are bit for bit those of one scalar round per target, and so
+    are the errors: a lattice can stall only when its second or third
+    target is asked for, which happens after the round before it is scored,
+    as in a scan of one round at a time; a lane the lockstep cannot vouch
+    for runs `_scalar_round`, which raises where the scalar scan raised.
     """
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
@@ -315,18 +494,28 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
     D = s.distance_tx_rx
     gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
     trace = IterationTrace()
-    for gamma in lowered_targets(gamma0, epsilon):
-        result = _forward_chain(s, h, gamma, n_uavs)
-        if result is None:
-            trace.append(gamma, 0.0, float("nan"))
-            continue
-        hops, consumed, d_max = result
-        hops.append(max(D - consumed, 0.0))
-        # Surplus UAVs stacked on one spot: a zero hop is no link.
-        links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
-        trace.append(gamma, hops[0], min(multihop_link_sirs(s, links, h)))
-        if D - consumed <= d_max:
+    targets = lowered_targets(gamma0, epsilon)
+    # Not fewer than two: see the stall rule above.
+    for gamma in itertools.islice(targets, 2):
+        first, sir, closes, hops = _scalar_round(s, h, gamma, n_uavs)
+        trace.append(gamma, first, sir)
+        if closes:
             return gamma, Placement.uniform(hops, h), trace
+    size = LOCKSTEP_FIRST
+    while (gammas := np.fromiter(itertools.islice(targets, size), float)).size:
+        ok, first, consumed, d_max, sirs, suspect = _forward_rounds(
+            s, h, gammas, n_uavs)
+        closes = ok & (D - consumed <= d_max)
+        first = np.where(ok, first, 0.0)
+        sirs = np.where(ok, sirs, math.nan)
+        for j in np.flatnonzero(closes | suspect):
+            first[j], sirs[j], closed, hops = _scalar_round(
+                s, h, float(gammas[j]), n_uavs)
+            if closed:
+                trace.extend(gammas[:j + 1], first[:j + 1], sirs[:j + 1])
+                return float(gammas[j]), Placement.uniform(hops, h), trace
+        trace.extend(gammas, first, sirs)
+        size = min(2 * size, LOCKSTEP_CHUNK)
     raise InfeasibleError("no target SIR closed the chain; span not coverable")
 
 

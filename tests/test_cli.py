@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +237,41 @@ def test_altitude_outside_band_exits_2(runner, tmp_path, name, h):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "h outside [h_min, h_max]" in result.output
+    assert "Traceback" not in result.output
+
+
+#: Commands run on powers of 1e300 W against 1e-10 W, with their exit code:
+#: the start target of the deterministic scan overflows to inf (4), and the
+#: default epsilon of 0.1 is below the float spacing at the start target of
+#: the stochastic scans (2).
+EXTREME_POWER_COMMANDS = {
+    "multihop-distributed": (["--n-uavs", "3"], 4),
+    "stochastic-single": ([], 2),
+    "stochastic-distributed": (["--n-uavs", "3"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_POWER_COMMANDS))
+def test_extreme_powers_exit_with_a_documented_code(runner, tmp_path, name):
+    path = write_scenario_yaml(
+        tmp_path / "s.yaml", p_tx="1.0e+300", p_uav="1.0e+300",
+        p_msi="1.0e-10",
+        extra="interference_field:\n  variant: beta\n  alpha: 3.0\n"
+              "  beta: 1.0\n  i_max_w: 1.0\n  altitude_m: 100.0")
+    flags, code = EXTREME_POWER_COMMANDS[name]
+
+    def stuck(signum, frame):
+        raise TimeoutError(f"{name} still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        result = runner.invoke(main, [name, str(path), "--h", "20", *flags])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result.exit_code == code, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
 
 

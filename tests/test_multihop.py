@@ -1,12 +1,18 @@
+import dataclasses
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uavrelay.channel import multihop_link_sirs
-from uavrelay.errors import DomainError, InfeasibleError
-from uavrelay.multihop import (Placement, design_min_uavs,
+import uavrelay.multihop as multihop
+from uavrelay.channel import (Scenario, multihop_link_sirs, sir_rx_link,
+                              sir_tx_link)
+from uavrelay.errors import DomainError, InfeasibleError, NumericError
+from uavrelay.multihop import (IterationTrace, Placement, _forward_chain,
+                               _forward_rounds, design_min_uavs,
                                distributed_max_sir, feasibility_bound,
                                first_hop_distance, last_hop_max_distance,
                                lowered_targets, middle_hop_distance,
@@ -165,6 +171,27 @@ def test_lowered_targets_rejects_bad_epsilon(epsilon):
         next(lowered_targets(1.0, epsilon))
 
 
+@pytest.mark.parametrize("gamma0", [math.inf, math.nan])
+def test_lowered_targets_rejects_non_finite_start(gamma0):
+    with pytest.raises(NumericError, match="not finite"):
+        next(lowered_targets(gamma0, 0.1))
+
+
+def test_lowered_targets_stall_raises_when_the_next_target_is_asked():
+    """An epsilon below the float spacing yields gamma0, then raises."""
+    targets = lowered_targets(1e300, 1e-10)  # gamma0 / epsilon overflows to inf
+    assert next(targets) == 1e300
+    with pytest.raises(DomainError, match="does not lower"):
+        next(targets)
+    # Half the spacing from an odd mantissa rounds down once (to even),
+    # then stalls: the third target is the first that raises.
+    u = 2.0 ** -52
+    targets = lowered_targets(1.0 + 3 * u, u / 2)
+    assert list(itertools.islice(targets, 2)) == [1.0 + 3 * u, 1.0 + 2 * u]
+    with pytest.raises(DomainError, match="does not lower"):
+        next(targets)
+
+
 def test_distributed_trace_is_one_row_per_round(channel):
     s = make_scenario(channel, d_min=4.0)
     gamma, placement, trace = distributed_max_sir(s, 20.0, 10, 0.1)
@@ -249,3 +276,241 @@ def test_design_matches_greedy_structure_random(channel):
         links = multihop_link_sirs(s, list(result.placement.hop_distances), h)
         assert min(links) >= gamma * (1.0 - 1e-9)
         done += 1
+
+
+# ------------------------------------------- the lockstep of distributed_max_sir
+
+def reference_scan(s, h, n_uavs, epsilon):
+    """`distributed_max_sir` as one scalar round per target, kept as the
+    reference of its lockstep."""
+    if n_uavs < 1:
+        raise DomainError("n_uavs must be >= 1")
+    D = s.distance_tx_rx
+    gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
+    trace = IterationTrace()
+    for gamma in lowered_targets(gamma0, epsilon):
+        result = _forward_chain(s, h, gamma, n_uavs)
+        if result is None:
+            trace.append(gamma, 0.0, float("nan"))
+            continue
+        hops, consumed, d_max = result
+        hops.append(max(D - consumed, 0.0))
+        links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
+        trace.append(gamma, hops[0], min(multihop_link_sirs(s, links, h)))
+        if D - consumed <= d_max:
+            return gamma, Placement.uniform(hops, h), trace
+    raise InfeasibleError("no target SIR closed the chain; span not coverable")
+
+
+def outcome(scan, *args):
+    """repr of (gamma, placement, the three trace lists), or the exception."""
+    try:
+        gamma, placement, trace = scan(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raises " + repr(exc)
+    return repr((gamma, placement, trace.gammas, trace.first_hops,
+                 trace.system_sirs))
+
+
+def scan_draws(channel, seed, count):
+    """Conftest scenarios with their own h, n and epsilon = gamma0 / k.
+
+    One in ten has the interferer at x = 0 and one in ten at x = D; three
+    in ten epsilons divide gamma0 exactly, so the lattice ends on rounding
+    residue; one fleet in seven has 13-52 UAVs.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        s = random_scenario(rng, channel)
+        if i % 10 == 1:
+            s = dataclasses.replace(s, msi_x=0.0)
+        elif i % 10 == 2:
+            s = dataclasses.replace(s, msi_x=s.distance_tx_rx)
+        h = rng.uniform(s.h_min, s.h_max)
+        n = rng.randint(13, 52) if i % 7 == 3 else rng.randint(1, 12)
+        gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
+        k = rng.randint(5, 300)
+        exact = rng.random() < 0.3
+        yield s, h, n, gamma0 / (k if exact else k + rng.random())
+
+
+def test_distributed_is_bit_identical_to_the_scalar_scan(channel):
+    differ, raised = [], 0
+    for args in scan_draws(channel, 10, 400):
+        expected = outcome(reference_scan, *args)
+        raised += expected.startswith("raises")
+        if outcome(distributed_max_sir, *args) != expected:
+            differ.append(args)
+    assert not differ
+    assert 0 < raised < 40  # InfeasibleError on some draws, not most
+
+
+def test_distributed_long_scans_are_bit_identical(channel):
+    """Thousands of rounds, so every chunk size up to the cap runs."""
+    rng = random.Random(11)
+    draws = [(make_scenario(channel, d_min=4.0), 20.0, 10, 0.2)]
+    while len(draws) < 7:
+        s = random_scenario(rng, channel)
+        h = rng.uniform(s.h_min, s.h_max)
+        n = (2, 20, 52)[len(draws) % 3]
+        draws.append((s, h, n, feasibility_bound(s, h) / 3000.0))
+    for args in draws:
+        assert outcome(distributed_max_sir, *args) == outcome(reference_scan, *args)
+    rounds = len(distributed_max_sir(*draws[0])[2].gammas)
+    assert rounds > multihop.LOCKSTEP_CHUNK
+
+
+def test_distributed_chunks_double_up_to_the_cap(channel, monkeypatch):
+    """Two scalar rounds, then LOCKSTEP_FIRST targets doubling to the cap."""
+    sizes = []
+
+    def forward_rounds(s, h, gammas, n_uavs):
+        sizes.append(gammas.size)
+        return _forward_rounds(s, h, gammas, n_uavs)
+
+    monkeypatch.setattr(multihop, "_forward_rounds", forward_rounds)
+    _, _, trace = distributed_max_sir(make_scenario(channel, d_min=4.0), 20.0, 10, 0.1)
+    size, asked = multihop.LOCKSTEP_FIRST, []
+    for _ in sizes:
+        asked.append(size)
+        size = min(2 * size, multihop.LOCKSTEP_CHUNK)
+    assert multihop.LOCKSTEP_CHUNK in sizes
+    assert sizes[:-1] == asked[:-1] and sizes[-1] <= asked[-1]
+    assert 2 + sum(sizes[:-1]) < len(trace.gammas) <= 2 + sum(sizes)
+
+
+def test_distributed_closes_on_the_second_target_before_a_stall(channel, monkeypatch):
+    """A lattice that stalls at its third target (half the float spacing
+    at an odd-mantissa gamma0) still answers when the second closes."""
+    s, h, n = make_scenario(channel, d_min=4.0), 20.0, 10
+    closing = distributed_max_sir(s, h, n, 0.1)[0]
+
+    def stalled(gamma0, epsilon):
+        yield gamma0
+        yield closing
+        raise DomainError("stalled")
+
+    monkeypatch.setattr(multihop, "lowered_targets", stalled)
+    gamma, _, trace = distributed_max_sir(s, h, n, 0.1)
+    assert gamma == closing and trace.gammas[1:] == [closing]
+
+
+def test_forward_rounds_match_forward_chain_lane_by_lane(channel):
+    for s, h, n, epsilon in scan_draws(channel, 12, 60):
+        D = s.distance_tx_rx
+        gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
+        gammas = np.fromiter(lowered_targets(gamma0, epsilon), float)
+        ok, d1, consumed, d_max, sirs, suspect = _forward_rounds(s, h, gammas, n)
+        assert not suspect.any()
+        for j, gamma in enumerate(gammas.tolist()):
+            result = _forward_chain(s, h, gamma, n)
+            assert ok[j] == (result is not None)
+            if result is None:
+                continue
+            hops, used, top = result
+            assert repr((d1[j], consumed[j], d_max[j])) == repr(
+                (np.float64(hops[0]), np.float64(used), np.float64(top)))
+            hops.append(max(D - used, 0.0))
+            links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
+            assert repr(sirs[j]) == repr(
+                np.float64(min(multihop_link_sirs(s, links, h))))
+
+
+_WIDE = st.floats(allow_nan=False, allow_infinity=False)
+_TINY = st.floats(min_value=-1e-150, max_value=1e-150)
+_HUGE = st.floats(min_value=1e150, max_value=1e160)
+
+
+@given(st.lists(st.one_of(_WIDE, _TINY, _HUGE), min_size=1, max_size=64))
+def test_float_power_squares_like_python_floats(xs):
+    """The lockstep squares arrays with np.float_power(x, 2.0); it rounds
+    like float ** 2 (the C library's pow), which x * x does not always."""
+    with np.errstate(over="ignore"):
+        squares = np.float_power(np.array(xs), 2.0).tolist()
+    for x, x2 in zip(xs, squares):
+        try:
+            expected = x ** 2
+        except OverflowError:
+            expected = math.inf
+        assert repr(x2) == repr(expected), x
+
+
+#: A scenario whose chain closes at the 91st target of its lattice
+#: (epsilon = gamma0 / 100) but not at the 99th: closing is not monotone
+#: in the target, so no bisection over the lattice can replace the scan.
+NON_MONOTONE = dict(distance_tx_rx=966.6769009405878, msi_x=703.9962682986794,
+                    msi_y=293.6294217862512, p_tx=14.51759935755006,
+                    p_uav=0.5373605359015432, p_msi=4.465223284331327,
+                    h_min=6.039201618212678, h_max=152.77665862908958)
+
+
+def test_distributed_returns_the_first_closing_round(channel):
+    s = Scenario(channel=channel, **NON_MONOTONE)
+    h, n = 125.2753631175596, 9
+    gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
+    gammas = list(lowered_targets(gamma0, gamma0 / 100.0))
+
+    def closes(gamma):
+        result = _forward_chain(s, h, gamma, n)
+        return result is not None and s.distance_tx_rx - result[1] <= result[2]
+
+    assert not any(closes(g) for g in gammas[:90])
+    assert closes(gammas[90]) and not closes(gammas[98])
+    gamma, _, trace = distributed_max_sir(s, h, n, gamma0 / 100.0)
+    assert gamma == gammas[90] and trace.gammas == gammas[:91]
+
+
+def test_distributed_closing_on_gamma0_ignores_a_stalled_epsilon(channel):
+    """The stalled lattice raises only when a second target is asked for."""
+    s = Scenario(740.6361010741487, 390.55913424843504, 455.97359631556185,
+                 0.14268602717461776, 1.3536162474506164, 0.30953934942483446,
+                 2.4187700591671577, 396.21203005198413, channel)
+    gamma, placement, trace = distributed_max_sir(s, 343.8783060671582, 9, 1e-300)
+    assert trace.gammas == [gamma] and placement.uav_count == 9
+    with pytest.raises(DomainError, match="does not lower"):
+        distributed_max_sir(make_scenario(channel), 20.0, 5, 1e-300)
+
+
+#: Inputs far outside any real deployment, where a round of the scalar scan
+#: raises: a square overflows (p_uav of 2e303 W) or a positive middle hop
+#: squares to zero (a span of 3e-160 m).  (n, h, epsilon, scenario values)
+RAISING_ROUNDS = [
+    (9, 2.90149382313319, 2314.423722980558,
+     (1283.5132202904338, 949.6696023527506, 1183.816326624393,
+      3.8939209537263495, 2.249913422874982e+303, 7.671858207796849,
+      0.001, 100.0)),
+    (10, 2.217765565207966e-161, 0.01118895966029724,
+     (2.825846011770359e-160, 1.3319380151139526e-160, 2.7929455732931315e-160,
+      1.082192796142104, 8.097680258660855, 6.284849671009388,
+      3.082313264282039e-166, 3.0823132642820386e-161)),
+]
+
+
+@pytest.mark.parametrize("n, h, epsilon, values", RAISING_ROUNDS)
+def test_distributed_raises_where_the_scalar_scan_raises(
+        channel, n, h, epsilon, values):
+    s = Scenario(*values, channel)
+    expected = outcome(reference_scan, s, h, n, epsilon)
+    assert expected.startswith("raises ") and "Infeasible" not in expected
+    assert outcome(distributed_max_sir, s, h, n, epsilon) == expected
+    # Every lane whose scalar round raises is handed over by the lockstep.
+    gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
+    gammas = np.fromiter(lowered_targets(gamma0, epsilon), float)
+    suspect = _forward_rounds(s, h, gammas, n)[5]
+    raising = []
+    for j, gamma in enumerate(gammas.tolist()):
+        try:
+            multihop._scalar_round(s, h, gamma, n)
+        except (OverflowError, DomainError):
+            raising.append(j)
+    assert raising and suspect[raising].all()
+
+
+def test_forward_rounds_flag_a_divisor_that_underflows(channel):
+    """At a target of 5e-324 the last-hop divisor gamma p_msi eta is 0.0;
+    the scalar round divides by it, so the lockstep hands the lane over."""
+    s = make_scenario(channel, p_msi=0.1)
+    suspect = _forward_rounds(s, 20.0, np.array([1.0, 5e-324]), 3)[5]
+    assert suspect.tolist() == [False, True]
+    with pytest.raises(ZeroDivisionError):
+        multihop._scalar_round(s, 20.0, 5e-324, 3)
