@@ -42,64 +42,43 @@ def require_altitude(s: Scenario, h: float) -> None:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Attenuation coefficients of the LoS / NLoS / air-ground links.
+    """Attenuation coefficients of the d**2 path-loss model.
 
-    mu_los and mu_nlos are the per-distance-squared attenuation factors
-    derived from the carrier frequency and the excess-loss factors;
-    eta_nlos is the coefficient of the air-ground links and defaults to
-    mu_los when not overridden.
+    A link of length d attenuates by mu_los * d**2 (UAV to UAV, LoS),
+    mu_nlos * d**2 (ground to ground, NLoS) or eta_nlos * d**2 (air to
+    ground).  Every closed form of the planners relies on the square.
     """
 
-    carrier_frequency: float
-    excess_loss_los: float
-    excess_loss_nlos: float
     mu_los: float
     mu_nlos: float
     eta_nlos: float
-    path_loss_exponent: float = 2.0
 
     def __post_init__(self):
-        for name in ("carrier_frequency", "excess_loss_los", "excess_loss_nlos",
-                     "mu_los", "mu_nlos", "eta_nlos", "path_loss_exponent"):
+        for name in ("mu_los", "mu_nlos", "eta_nlos"):
             require_positive(f"ChannelParams.{name}", getattr(self, name))
 
     @classmethod
     def from_carrier(cls, carrier_frequency: float, excess_loss_los: float,
-                     excess_loss_nlos: float, *, eta_nlos: float | None = None,
-                     path_loss_exponent: float = 2.0) -> "ChannelParams":
-        """Build the coefficients mu = C * (4*pi*f/c)**alpha from raw inputs."""
+                     excess_loss_nlos: float, *,
+                     eta_nlos: float | None = None) -> "ChannelParams":
+        """Build the coefficients mu = C * (4*pi*f/c)**2 from raw inputs."""
         require_positive("carrier_frequency", carrier_frequency)
-        k = (4.0 * math.pi * carrier_frequency / SPEED_OF_LIGHT) ** path_loss_exponent
-        mu_los = excess_loss_los * k
-        mu_nlos = excess_loss_nlos * k
-        return cls(carrier_frequency, excess_loss_los, excess_loss_nlos,
-                   mu_los, mu_nlos,
-                   mu_los if eta_nlos is None else eta_nlos,
-                   path_loss_exponent)
+        require_positive("excess_loss_los", excess_loss_los)
+        require_positive("excess_loss_nlos", excess_loss_nlos)
+        k = (4.0 * math.pi * carrier_frequency / SPEED_OF_LIGHT) ** 2
+        return cls.from_coefficients(excess_loss_los * k, excess_loss_nlos * k,
+                                     eta_nlos=eta_nlos)
 
     @classmethod
     def from_coefficients(cls, mu_los: float, mu_nlos: float, *,
-                          eta_nlos: float | None = None,
-                          carrier_frequency: float = 2.0e9,
-                          path_loss_exponent: float = 2.0) -> "ChannelParams":
-        """Build directly from the attenuation coefficients (tests, toy setups)."""
-        k = (4.0 * math.pi * carrier_frequency / SPEED_OF_LIGHT) ** path_loss_exponent
-        return cls(carrier_frequency, mu_los / k, mu_nlos / k,
-                   mu_los, mu_nlos,
-                   mu_los if eta_nlos is None else eta_nlos,
-                   path_loss_exponent)
+                          eta_nlos: float | None = None) -> "ChannelParams":
+        """Build directly from the coefficients; eta_nlos defaults to mu_los."""
+        return cls(mu_los, mu_nlos, mu_los if eta_nlos is None else eta_nlos)
 
     @property
     def nlos_over_eta(self) -> float:
         """Ratio mu_nlos / eta_nlos appearing in the receiver-side SIR."""
         return self.mu_nlos / self.eta_nlos
-
-    def require_quadratic_exponent(self) -> None:
-        """Analytic planners only hold for a path-loss exponent of 2."""
-        if self.path_loss_exponent != 2.0:
-            raise DomainError(
-                "analytic planners require path_loss_exponent == 2, "
-                f"got {self.path_loss_exponent}")
 
 
 @dataclass(frozen=True)
@@ -146,17 +125,16 @@ class SirReport:
 def path_loss(params: ChannelParams, kind: str, distance: float) -> float:
     """Attenuation of a link of the given kind over `distance` meters.
 
-    kind is one of "los", "nlos" (mu * d**alpha) or "air_ground" (eta * d**2).
+    kind is one of "los" (mu_los * d**2), "nlos" (mu_nlos * d**2) or
+    "air_ground" (eta_nlos * d**2).
     """
     if distance <= 0.0:
         raise DomainError("distance must be > 0")
-    if kind == "los":
-        return params.mu_los * distance ** params.path_loss_exponent
-    if kind == "nlos":
-        return params.mu_nlos * distance ** params.path_loss_exponent
-    if kind == "air_ground":
-        return params.eta_nlos * distance ** 2
-    raise DomainError(f"unknown path-loss kind {kind!r}")
+    coefficients = {"los": params.mu_los, "nlos": params.mu_nlos,
+                    "air_ground": params.eta_nlos}
+    if kind not in coefficients:
+        raise DomainError(f"unknown path-loss kind {kind!r}")
+    return coefficients[kind] * distance ** 2
 
 
 def sir_tx_link(s: Scenario, d1, h):

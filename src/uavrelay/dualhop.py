@@ -164,7 +164,6 @@ def quartic_roots_fixed_h(s: Scenario, h_hat: float) -> list[float]:
     SIRs within 1e-6 relative.
     """
     require_altitude(s, h_hat)
-    s.channel.require_quadratic_exponent()
     D = s.distance_tx_rx
     coeffs = _quartic_coefficients(s, h_hat)
     deriv = np.polyder(coeffs)
@@ -254,7 +253,6 @@ def optimal_h_fixed_x(s: Scenario, x_hat: float) -> float:
     """Best altitude at a fixed horizontal position."""
     if not (0.0 <= x_hat <= s.distance_tx_rx):
         raise DomainError("x_hat outside [0, D]")
-    s.channel.require_quadratic_exponent()
     psi_h = stationary_points(s, s.h_min).psi_h
     if x_hat <= psi_h:
         return s.h_min
@@ -326,7 +324,6 @@ def _locus_argmax(s: Scenario) -> LocusPoint | None:
 
 def optimal_position(s: Scenario) -> tuple[float, float, SirReport]:
     """Jointly optimal (x, h) of the single relay, with its SIR report."""
-    s.channel.require_quadratic_exponent()
     D, h_lo, h_hi = s.distance_tx_rx, s.h_min, s.h_max
 
     tilde = _locus_argmax(s)

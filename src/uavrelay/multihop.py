@@ -37,6 +37,9 @@ REFINE_GRID_H = 33
 REFINE_PASSES = 12
 REFINE_ZOOMS = 3
 
+#: `design_min_uavs` gives up once a chain grows past this many UAVs.
+DESIGN_N_CAP = 10_000
+
 #: `distributed_max_sir` scores its first two targets one scalar round at a
 #: time, then chunks of targets in lockstep: LOCKSTEP_FIRST, doubling up to
 #: LOCKSTEP_CHUNK, which keeps the scan's memory flat.  A lockstep call
@@ -250,15 +253,13 @@ def middle_hop_distance(s: Scenario, h: float, gamma: float,
     return finish_hop, "finish"
 
 
-def design_min_uavs(s: Scenario, h: float, gamma: float,
-                    n_cap: int = 10_000) -> DesignResult:
+def design_min_uavs(s: Scenario, h: float, gamma: float) -> DesignResult:
     """Minimum-size chain meeting per-link SIR >= gamma at altitude h.
 
     Greedy max-separation: push the first UAV as far as the Tx-side SIR
     allows, grow middle hops at their largest admissible length, stop once
     the last UAV is within d_max of the Rx.
     """
-    s.channel.require_quadratic_exponent()
     bound = feasibility_bound(s, h)
     if gamma > bound:
         raise InfeasibleError(
@@ -276,7 +277,7 @@ def design_min_uavs(s: Scenario, h: float, gamma: float,
         placement = Placement.uniform((d1, D - d1), h)
         return DesignResult(placement, _check_design(s, placement, gamma), tuple(trace))
     while consumed < D - d_max:
-        if len(hops) > n_cap:
+        if len(hops) > DESIGN_N_CAP:
             raise InfeasibleError("chain does not close within the UAV cap")
         d_k, branch = middle_hop_distance(s, h, gamma, consumed, d_max)
         d_k = min(d_k, D - consumed)
@@ -490,7 +491,6 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
     require_altitude(s, h)
-    s.channel.require_quadratic_exponent()
     D = s.distance_tx_rx
     gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
     trace = IterationTrace()
@@ -520,8 +520,7 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
 
 
 def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
-                       i: int, eps_h: float, grid: tuple[int, int],
-                       zooms: int) -> tuple[float, float, float, float]:
+                       i: int, eps_h: float) -> tuple[float, float, float, float]:
     """Best admissible (d, h) for UAV i inside its exploration rectangle.
 
     The rectangle spans the gap between the two neighbors horizontally and
@@ -530,7 +529,7 @@ def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
     (d, h, its local SIR, the local SIR where UAV i stands now); the local
     SIR is the min of the two links around UAV i.
     """
-    nx, nh = grid
+    nx, nh = REFINE_GRID_X, REFINE_GRID_H
     n = len(alts)
     gap = hops[i] + hops[i + 1]
     prev_pos = sum(hops[:i])
@@ -564,7 +563,7 @@ def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
     current = float(local_sir(np.array([hops[i]]), np.array([alts[i]]))[0, 0])
     d_lo, d_hi, h_lo, h_hi = 0.0, gap, h_lo0, h_hi0
     best = (hops[i], alts[i], -math.inf)
-    for _ in range(max(zooms, 1)):
+    for _ in range(REFINE_ZOOMS):
         d_cand = np.unique(np.append(np.linspace(d_lo, d_hi, nx),
                                      np.clip(hops[i], d_lo, d_hi)))
         h_cand = np.unique(np.append(np.linspace(h_lo, h_hi, nh),
@@ -577,7 +576,7 @@ def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
         bi, bj = np.unravel_index(int(np.argmax(local)), local.shape)
         best = (float(d_cand[bi]), float(h_cand[bj]), float(local[bi, bj]))
         step_d = (d_hi - d_lo) / (nx - 1)
-        step_h = (h_hi - h_lo) / (nh - 1) if nh > 1 else 0.0
+        step_h = (h_hi - h_lo) / (nh - 1)
         d_lo, d_hi = max(0.0, best[0] - step_d), min(gap, best[0] + step_d)
         h_lo = max(h_lo0, best[1] - step_h)
         h_hi = min(h_hi0, best[1] + step_h)
@@ -585,10 +584,8 @@ def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
 
 
 def refine_altitudes(s: Scenario, start: Placement, eps_h: float,
-                     iterations: int,
-                     grid: tuple[int, int] = (REFINE_GRID_X, REFINE_GRID_H),
-                     passes: int = REFINE_PASSES,
-                     zooms: int = REFINE_ZOOMS) -> tuple[Placement, list[float]]:
+                     iterations: int, passes: int = REFINE_PASSES
+                     ) -> tuple[Placement, list[float]]:
     """Per-UAV rectangle exploration jointly adjusting x and h.
 
     Every UAV in turn scans the span between its neighbors crossed with
@@ -612,7 +609,7 @@ def refine_altitudes(s: Scenario, start: Placement, eps_h: float,
             for i in order:
                 gap = hops[i] + hops[i + 1]
                 d_star, h_star, value, current = _explore_rectangle(
-                    s, hops, alts, i, eps_h, grid, zooms)
+                    s, hops, alts, i, eps_h)
                 if value > current:
                     hops[i + 1] = gap - d_star
                     hops[i] = d_star

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Scenario
+from .channel import Scenario, require_positive
 from .errors import DomainError
 
 SEED_GRID = 16
@@ -31,8 +31,9 @@ class InterferenceSource:
     power: float
 
     def __post_init__(self):
-        if self.power <= 0.0:
-            raise DomainError("source power must be > 0")
+        require_positive("source power", self.power)
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise DomainError("source x and y must be finite")
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,13 @@ def fit_hypothetical_msi(sources: Sequence[InterferenceSource], s: Scenario,
     if not sources:
         raise DomainError("need at least one interference source")
     nx, nh = grid
+    if nx < 1 or nh < 1:
+        raise DomainError("fit grid needs at least one cell per axis")
     D = s.distance_tx_rx
     dx = D / nx
     dh = (s.h_max - s.h_min) / nh if s.h_max > s.h_min else 1.0
     xg = (np.arange(nx) + 0.5) * dx
-    hg = s.h_min + (np.arange(max(nh, 1)) + 0.5) * dh
+    hg = s.h_min + (np.arange(nh) + 0.5) * dh
     target = _field_on_grid(sources, xg, hg)
     cell = dx * dh
     xx = xg[:, None]

@@ -87,6 +87,8 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
         raise DomainError("planner_kind must be deterministic or stochastic")
     if n_max > 8:
         raise DomainError("n_max capped at 8 (combinatorial guard)")
+    if per_hop_grid < 1:
+        raise DomainError("per_hop_grid must be >= 1")
     if planner_kind == "stochastic" and model is None:
         raise DomainError("stochastic oracle needs an interference model")
     require_altitude(s, h)
@@ -144,6 +146,8 @@ def random_placement_baseline(s: Scenario, n_uavs: int, trials: int,
         raise DomainError("trials must be >= 1")
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     streams = np.random.SeedSequence(seed).spawn(trials)
     sirs = np.empty(trials)
     for t, ss in enumerate(streams):

@@ -283,8 +283,7 @@ def _backward_hops(ups: Callable[[float], float], s: Scenario,
 
 
 def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
-                               h: float, gamma: float,
-                               n_cap: int = DESIGN_N_CAP):
+                               h: float, gamma: float):
     """Smallest chain whose expected per-link SIRs all reach gamma.
 
     Greedy maximal hops: the last hop takes its closed-form maximum, middle
@@ -313,7 +312,7 @@ def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
             return DesignResult(placement, gamma, ("first", "last"))
 
     rho_step = d_max / RHO_STEPS if d_max > 0.0 else 0.0
-    for n in range(2, n_cap + 1):
+    for n in range(2, DESIGN_N_CAP + 1):
         for j in range(RHO_STEPS + 1):
             d_last = d_max - j * rho_step
             if d_last < 0.0:

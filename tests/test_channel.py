@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,9 @@ def test_from_carrier_coefficient_formula():
 
 def test_from_coefficients_round_trip():
     ch = ChannelParams.from_coefficients(3.0, 7.0, eta_nlos=2.0)
-    assert ch.mu_los == 3.0 and ch.mu_nlos == 7.0 and ch.eta_nlos == 2.0
+    assert ch == ChannelParams(3.0, 7.0, 2.0)
+    assert [f.name for f in dataclasses.fields(ch)] == [
+        "mu_los", "mu_nlos", "eta_nlos"]
     assert ch.nlos_over_eta == pytest.approx(3.5)
 
 
@@ -42,9 +45,21 @@ def test_path_loss_kinds():
         path_loss(ch, "los", 0.0)
 
 
+#: Valid keyword arguments of `ChannelParams.from_carrier`.
+CARRIER_INPUTS = {"carrier_frequency": 2.0e9, "excess_loss_los": 1.0,
+                  "excess_loss_nlos": 1.0, "eta_nlos": 1.0}
+
+
+def assert_from_carrier_rejects(bad):
+    """from_carrier raises DomainError when any one of its inputs is bad."""
+    for name in CARRIER_INPUTS:
+        with pytest.raises(DomainError):
+            ChannelParams.from_carrier(**{**CARRIER_INPUTS, name: bad})
+
+
 def test_channel_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        ChannelParams.from_carrier(-1.0, 1.0, 1.0)
+    for bad in (0.0, -1.0):
+        assert_from_carrier_rejects(bad)
     with pytest.raises(DomainError):
         ChannelParams.from_coefficients(0.0, 1.0)
 
@@ -60,13 +75,12 @@ def test_scenario_validation(channel):
         make_scenario(channel, d_min=-0.1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scenario_and_channel_reject_non_finite(channel, bad):
     for field in ("d", "msi_y", "p_tx", "p_uav", "p_msi", "h_max", "d_min"):
         with pytest.raises(DomainError):
             make_scenario(channel, **{field: bad})
-    with pytest.raises(DomainError):
-        ChannelParams.from_carrier(2.0e9, bad, 1.0)
+    assert_from_carrier_rejects(bad)
     with pytest.raises(DomainError):
         ChannelParams.from_coefficients(1.0, 1.0, eta_nlos=bad)
 

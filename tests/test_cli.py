@@ -206,6 +206,28 @@ def test_non_finite_inputs_exit_2(runner, scenario_file, tmp_path):
     path = write_scenario_yaml(tmp_path / "s.yaml", msi_y=".nan")
     result = runner.invoke(main, ["dualhop-opt", str(path)])
     assert result.exit_code == 2, result.output
+    path = write_scenario_yaml(
+        tmp_path / "s.yaml",
+        extra="sources:\n  - {x_m: 200.0, y_m: 50.0, p_w: .nan}")
+    result = runner.invoke(main, ["msi-fit", str(path)])
+    assert result.exit_code == 2, result.output
+
+
+def test_counts_below_their_minimum_exit_2(runner, scenario_file):
+    for args in (["oracle-exhaustive", "--gamma", "x5", "--h", "20",
+                  "--per-hop-grid", "-1"],
+                 ["baseline-random", "--n-uavs", "3", "--seed", "-1"]):
+        result = runner.invoke(main, [args[0], str(scenario_file), *args[1:]])
+        assert result.exit_code == 2, (args, result.output)
+
+
+@pytest.mark.parametrize("grid", ["0x5", "5x0", "-3x5"])
+def test_msi_fit_empty_grid_exits_2(runner, tmp_path, grid):
+    path = write_scenario_yaml(
+        tmp_path / "s.yaml",
+        extra="sources:\n  - {x_m: 200.0, y_m: 50.0, p_w: 2.0}")
+    result = runner.invoke(main, ["msi-fit", str(path), "--grid", grid])
+    assert result.exit_code == 2, result.output
 
 
 #: Every command that takes --h, with the other flags it needs.

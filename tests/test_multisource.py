@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from uavrelay.errors import DomainError
@@ -10,6 +12,14 @@ from conftest import make_scenario
 def test_source_rejects_nonpositive_power():
     with pytest.raises(DomainError):
         InterferenceSource(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("x, y, power", [
+    (0.0, 0.0, math.nan), (0.0, 0.0, math.inf), (math.nan, 0.0, 1.0),
+    (math.inf, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, -math.inf, 1.0)])
+def test_source_rejects_non_finite(x, y, power):
+    with pytest.raises(DomainError):
+        InterferenceSource(x, y, power)
 
 
 def test_total_interference_additive():

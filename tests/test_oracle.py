@@ -79,6 +79,8 @@ def test_exhaustive_validation(channel):
         exhaustive_min_uavs("deterministic", s, 15.0, 1.0, n_max=9)
     with pytest.raises(DomainError):
         exhaustive_min_uavs("stochastic", s, 15.0, 1.0)  # needs a model
+    with pytest.raises(DomainError):
+        exhaustive_min_uavs("deterministic", s, 15.0, 1.0, per_hop_grid=0)
 
 
 def test_exhaustive_stochastic_runs(channel):
@@ -117,3 +119,5 @@ def test_baseline_validation(channel):
         random_placement_baseline(s, 0, 10, seed=0)
     with pytest.raises(DomainError):
         random_placement_baseline(s, 2, 0, seed=0)
+    with pytest.raises(DomainError):
+        random_placement_baseline(s, 2, 10, seed=-1)
