@@ -5,6 +5,13 @@ Every subcommand writes a JSON result record plus a CSV table meant for
 direct plotting.  All SIR values are linear inside; dB appears only at the
 flag boundary (`--gamma 11db`).
 
+Each subcommand is one planner step registered with its options by
+`command`.  `sweep` runs the step of `dualhop-opt`, `oracle-grid`,
+`multihop-design` or `multihop-distributed` at every point of its axes.  It
+passes on only the flags that subcommand takes, and it exits 2 before the
+first point when a flag or axis is foreign to the subcommand, a required one
+is missing, or a value is invalid.
+
 Exit codes: 0 ok, 2 schema or input error, 3 infeasible target,
 4 numeric failure.
 """
@@ -17,7 +24,7 @@ import functools
 import json
 import math
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import click
 import numpy as np
@@ -286,12 +293,6 @@ def planner_errors(fn):
     return wrapper
 
 
-def _provenance(**extra) -> dict:
-    base = {"tool": "uavrelay", "version": __version__}
-    base.update(extra)
-    return base
-
-
 def _scenario_params(s: Scenario) -> dict:
     return {
         "d_m": s.distance_tx_rx, "msi_x_m": s.msi_x, "msi_y_m": s.msi_y,
@@ -314,42 +315,77 @@ def main():
     """Interference-aware UAV relay placement planners and oracles."""
 
 
-def scenario_argument(fn):
-    return click.argument("scenario", type=click.Path())(fn)
+class Subcommand(click.Command):
+    """A subcommand defined by one planner step.
+
+    `step(s, sources, model, **flags)` returns the record's parameters (added
+    to the scenario's), its outputs and the CSV rows.  The command parses the
+    scenario, calls `step` and writes the record under `--out`, by default
+    its name with underscores.  `sweep_columns` names the values, from the
+    outputs or else the last row, that a sweep point reports; a command
+    without them cannot be swept.  `provenance` maps the flags to extra
+    provenance entries.
+    """
+
+    def __init__(self, name: str, step: Callable, options: tuple,
+                 sweep_columns: tuple[str, ...] = (),
+                 provenance: Callable[[dict], dict] = lambda flags: {}):
+        self.step = step
+        self.options = options
+        self.sweep_columns = sweep_columns
+
+        @planner_errors
+        def callback(scenario, out, **flags):
+            s, sources, model = parse_scenario(scenario)
+            parameters, outputs, rows = step(s, sources, model, **flags)
+            record = ResultRecord(
+                command=sys.argv[1:],
+                parameters={**_scenario_params(s), **parameters},
+                outputs=outputs,
+                provenance={"tool": "uavrelay", "version": __version__,
+                            **provenance(flags)})
+            _emit(record, rows, out, name.replace("-", "_"))
+
+        super().__init__(name, callback=callback, help=step.__doc__, params=[
+            click.Argument(["scenario"], type=click.Path()), *options,
+            click.Option(["--out"], default=None, help="Output path prefix.")])
 
 
-out_option = click.option("--out", default=None, help="Output path prefix.")
+def command(name: str, *options: click.Parameter, **kwargs):
+    """Register the decorated planner step as subcommand `name`."""
+
+    def register(step):
+        main.add_command(Subcommand(name, step, options, **kwargs))
+        return step
+
+    return register
+
+
+_GAMMA = click.Option(["--gamma"], type=GAMMA, required=True)
+_H = click.Option(["--h", "altitude"], type=float, required=True)
+_N_UAVS = click.Option(["--n-uavs"], type=int, required=True)
+_EPSILON = click.Option(["--epsilon"], type=float, default=0.1,
+                        show_default=True)
 
 
 # ----------------------------------------------------------------- commands
 
-@main.command("dualhop-opt")
-@scenario_argument
-@out_option
-@planner_errors
-def dualhop_opt(scenario, out):
+@command("dualhop-opt", sweep_columns=("x_m", "h_m", "sir_system"))
+def dualhop_opt(s, sources, model):
     """Optimal single-UAV position (joint x, h)."""
-    s, _, _ = parse_scenario(scenario)
     x, h, report = optimal_position(s)
-    record = ResultRecord(
-        command=sys.argv[1:], parameters=_scenario_params(s),
-        outputs={"x_m": x, "h_m": h, "sir_system": report.system_sir,
-                 "sir_links": list(report.per_link),
-                 "bottleneck": report.bottleneck_index},
-        provenance=_provenance())
-    _emit(record, [{"x_m": x, "h_m": h, "sir_system": report.system_sir}],
-          out, "dualhop_opt")
+    return ({},
+            {"x_m": x, "h_m": h, "sir_system": report.system_sir,
+             "sir_links": list(report.per_link),
+             "bottleneck": report.bottleneck_index},
+            [{"x_m": x, "h_m": h, "sir_system": report.system_sir}])
 
 
-@main.command("dualhop-locus")
-@scenario_argument
-@click.option("--samples", type=click.IntRange(min=2), default=256,
-              show_default=True)
-@out_option
-@planner_errors
-def dualhop_locus(scenario, samples, out):
+@command("dualhop-locus",
+         click.Option(["--samples"], type=click.IntRange(min=2), default=256,
+                      show_default=True))
+def dualhop_locus(s, sources, model, samples):
     """Equal-SIR locus h(x) sampled over [0, D]."""
-    s, _, _ = parse_scenario(scenario)
     rows = []
     for x in np.linspace(0.0, s.distance_tx_rx, samples).tolist():
         points = locus_heights(s, x)
@@ -357,26 +393,14 @@ def dualhop_locus(scenario, samples, out):
         for p in points:
             row["h_plus_m" if p.branch == "plus" else "h_minus_m"] = p.h
         rows.append(row)
-    record = ResultRecord(
-        command=sys.argv[1:], parameters=_scenario_params(s),
-        outputs={"samples": samples,
-                 "points_on_locus": sum(
-                     1 for r in rows
-                     if not (math.isnan(r["h_plus_m"])
-                             and math.isnan(r["h_minus_m"])))},
-        provenance=_provenance())
-    _emit(record, rows, out, "dualhop_locus")
+    on_locus = sum(1 for r in rows if not (math.isnan(r["h_plus_m"])
+                                          and math.isnan(r["h_minus_m"])))
+    return {}, {"samples": samples, "points_on_locus": on_locus}, rows
 
 
-@main.command("multihop-design")
-@scenario_argument
-@click.option("--gamma", type=GAMMA, required=True)
-@click.option("--h", "altitude", type=float, required=True)
-@out_option
-@planner_errors
-def multihop_design(scenario, gamma, altitude, out):
+@command("multihop-design", _GAMMA, _H, sweep_columns=("n_uavs",))
+def multihop_design(s, sources, model, gamma, altitude):
     """Minimum chain of UAVs meeting --gamma at altitude --h."""
-    s, _, _ = parse_scenario(scenario)
     result = design_min_uavs(s, altitude, gamma)
     placement = result.placement
     links = multihop_link_sirs(s, list(placement.hop_distances), altitude)
@@ -384,99 +408,61 @@ def multihop_design(scenario, gamma, altitude, out):
              "position_m": sum(placement.hop_distances[:i + 1]),
              "link_sir": links[i]}
             for i, d in enumerate(placement.hop_distances)]
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "gamma": gamma, "h_m": altitude},
-        outputs={"n_uavs": placement.uav_count,
-                 "hops_m": list(placement.hop_distances),
-                 "system_sir": min(links), "branches": list(result.trace)},
-        provenance=_provenance())
-    _emit(record, rows, out, "multihop_design")
+    return ({"gamma": gamma, "h_m": altitude},
+            {"n_uavs": placement.uav_count,
+             "hops_m": list(placement.hop_distances),
+             "system_sir": min(links), "branches": list(result.trace)},
+            rows)
 
 
-@main.command("multihop-distributed")
-@scenario_argument
-@click.option("--n-uavs", type=int, required=True)
-@click.option("--h", "altitude", type=float, required=True)
-@click.option("--epsilon", type=float, default=0.1, show_default=True)
-@out_option
-@planner_errors
-def multihop_distributed(scenario, n_uavs, altitude, epsilon, out):
+@command("multihop-distributed", _N_UAVS, _H, _EPSILON,
+         sweep_columns=("gamma_final", "sir_system", "iterations"))
+def multihop_distributed(s, sources, model, n_uavs, altitude, epsilon):
     """Forward-propagation distributed placement for a fixed fleet."""
-    s, _, _ = parse_scenario(scenario)
     gamma, placement, trace = distributed_max_sir(s, altitude, n_uavs, epsilon)
     rows = [{"iteration": i, "gamma": g, "sir_system": v}
             for i, (g, v) in enumerate(zip(trace.gammas, trace.system_sirs))]
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "n_uavs": n_uavs, "h_m": altitude,
-                    "epsilon": epsilon},
-        outputs={"gamma_final": gamma, "hops_m": list(placement.hop_distances),
-                 "iterations": len(trace.gammas)},
-        provenance=_provenance())
-    _emit(record, rows, out, "multihop_distributed")
+    return ({"n_uavs": n_uavs, "h_m": altitude, "epsilon": epsilon},
+            {"gamma_final": gamma, "hops_m": list(placement.hop_distances),
+             "iterations": len(trace.gammas)},
+            rows)
 
 
-@main.command("refine-altitudes")
-@scenario_argument
-@click.option("--n-uavs", type=int, required=True)
-@click.option("--h", "altitude", type=float, required=True)
-@click.option("--epsilon", type=float, default=0.1, show_default=True)
-@click.option("--eps-h", type=float, default=10.0, show_default=True)
-@click.option("--iterations", type=int, default=30, show_default=True)
-@out_option
-@planner_errors
-def refine_altitudes_cmd(scenario, n_uavs, altitude, epsilon, eps_h,
-                         iterations, out):
+@command("refine-altitudes", _N_UAVS, _H, _EPSILON,
+         click.Option(["--eps-h"], type=float, default=10.0,
+                      show_default=True),
+         click.Option(["--iterations"], type=int, default=30,
+                      show_default=True))
+def refine_altitudes_cmd(s, sources, model, n_uavs, altitude, epsilon, eps_h,
+                         iterations):
     """Run the distributed planner, then the joint x/h refinement rounds."""
-    s, _, _ = parse_scenario(scenario)
     _, placement, _ = distributed_max_sir(s, altitude, n_uavs, epsilon)
     refined, history = refine_altitudes(s, placement, eps_h, iterations)
     rows = [{"iteration": i, "sir_system": v} for i, v in enumerate(history)]
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "n_uavs": n_uavs, "h_m": altitude,
-                    "epsilon": epsilon, "eps_h": eps_h,
-                    "iterations": iterations},
-        outputs={"sir_start": history[0], "sir_final": history[-1],
-                 "hops_m": list(refined.hop_distances),
-                 "altitudes_m": list(refined.altitudes)},
-        provenance=_provenance())
-    _emit(record, rows, out, "refine_altitudes")
+    return ({"n_uavs": n_uavs, "h_m": altitude, "epsilon": epsilon,
+             "eps_h": eps_h, "iterations": iterations},
+            {"sir_start": history[0], "sir_final": history[-1],
+             "hops_m": list(refined.hop_distances),
+             "altitudes_m": list(refined.altitudes)},
+            rows)
 
 
-@main.command("stochastic-single")
-@scenario_argument
-@click.option("--h", "altitude", type=float, required=True)
-@click.option("--epsilon", type=float, default=0.1, show_default=True)
-@out_option
-@planner_errors
-def stochastic_single(scenario, altitude, epsilon, out):
+@command("stochastic-single", _H, _EPSILON)
+def stochastic_single(s, sources, model, altitude, epsilon):
     """Single-UAV position under the scenario's interference field."""
-    s, _, model = parse_scenario(scenario)
-    model = _need_model(model)
-    x, esir, trace = single_uav_position(model, s, altitude, epsilon)
+    x, esir, trace = single_uav_position(_need_model(model), s, altitude,
+                                         epsilon)
     rows = [{"iteration": i, "gamma": g, "x_m": x_i, "expected_sir": v}
             for i, (g, x_i, v) in enumerate(zip(trace.gammas, trace.first_hops,
                                                 trace.system_sirs))]
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "h_m": altitude, "epsilon": epsilon},
-        outputs={"x_m": x, "expected_sir": esir,
-                 "iterations": len(trace.gammas)},
-        provenance=_provenance())
-    _emit(record, rows, out, "stochastic_single")
+    return ({"h_m": altitude, "epsilon": epsilon},
+            {"x_m": x, "expected_sir": esir, "iterations": len(trace.gammas)},
+            rows)
 
 
-@main.command("stochastic-design")
-@scenario_argument
-@click.option("--gamma", type=GAMMA, required=True)
-@click.option("--h", "altitude", type=float, required=True)
-@out_option
-@planner_errors
-def stochastic_design(scenario, gamma, altitude, out):
+@command("stochastic-design", _GAMMA, _H)
+def stochastic_design(s, sources, model, gamma, altitude):
     """Minimum chain meeting an expected-SIR target under the field."""
-    s, _, model = parse_scenario(scenario)
     model = _need_model(model)
     result = design_min_uavs_stochastic(model, s, altitude, gamma)
     placement = result.placement
@@ -484,63 +470,24 @@ def stochastic_design(scenario, gamma, altitude, out):
                                         altitude)
     rows = [{"hop": i, "distance_m": d, "expected_link_sir": esirs[i]}
             for i, d in enumerate(placement.hop_distances)]
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "gamma": gamma, "h_m": altitude},
-        outputs={"n_uavs": placement.uav_count,
-                 "hops_m": list(placement.hop_distances),
-                 "expected_system_sir": min(esirs)},
-        provenance=_provenance())
-    _emit(record, rows, out, "stochastic_design")
+    return ({"gamma": gamma, "h_m": altitude},
+            {"n_uavs": placement.uav_count,
+             "hops_m": list(placement.hop_distances),
+             "expected_system_sir": min(esirs)},
+            rows)
 
 
-@main.command("stochastic-distributed")
-@scenario_argument
-@click.option("--n-uavs", type=int, required=True)
-@click.option("--h", "altitude", type=float, required=True)
-@click.option("--epsilon", type=float, default=0.1, show_default=True)
-@out_option
-@planner_errors
-def stochastic_distributed(scenario, n_uavs, altitude, epsilon, out):
+@command("stochastic-distributed", _N_UAVS, _H, _EPSILON)
+def stochastic_distributed(s, sources, model, n_uavs, altitude, epsilon):
     """Backward-propagation distributed placement under the field."""
-    s, _, model = parse_scenario(scenario)
-    model = _need_model(model)
-    gamma, placement, trace = distributed_max_esir(model, s, altitude,
-                                                   n_uavs, epsilon)
+    gamma, placement, trace = distributed_max_esir(_need_model(model), s,
+                                                   altitude, n_uavs, epsilon)
     rows = [{"iteration": i, "gamma": g, "expected_system_sir": v}
             for i, (g, v) in enumerate(zip(trace.gammas, trace.system_sirs))]
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "n_uavs": n_uavs, "h_m": altitude,
-                    "epsilon": epsilon},
-        outputs={"gamma_final": gamma, "hops_m": list(placement.hop_distances),
-                 "iterations": len(trace.gammas)},
-        provenance=_provenance())
-    _emit(record, rows, out, "stochastic_distributed")
-
-
-@main.command("msi-fit")
-@scenario_argument
-@click.option("--grid", default="128x32", show_default=True,
-              help="Objective grid as NXxNH.")
-@out_option
-@planner_errors
-def msi_fit(scenario, grid, out):
-    """Fit one hypothetical interferer to the scenario's source list."""
-    s, sources, _ = parse_scenario(scenario)
-    if not sources:
-        raise SchemaError("msi-fit needs a 'sources' section")
-    nx, nh = _parse_grid(grid)
-    fit = fit_hypothetical_msi(sources, s, (nx, nh))
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "grid": [nx, nh],
-                    "n_sources": len(sources)},
-        outputs={"x_h_m": fit.x_h, "y_h_m": fit.y_h, "p_h_w": fit.p_h,
-                 "residual": fit.residual},
-        provenance=_provenance())
-    _emit(record, [{"x_h_m": fit.x_h, "y_h_m": fit.y_h, "p_h_w": fit.p_h,
-                    "residual": fit.residual}], out, "msi_fit")
+    return ({"n_uavs": n_uavs, "h_m": altitude, "epsilon": epsilon},
+            {"gamma_final": gamma, "hops_m": list(placement.hop_distances),
+             "iterations": len(trace.gammas)},
+            rows)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -551,112 +498,85 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise SchemaError(f"cannot parse grid {text!r} (expected NXxNH)")
 
 
-@main.command("oracle-grid")
-@scenario_argument
-@click.option("--grid", default="500x500", show_default=True)
-@out_option
-@planner_errors
-def oracle_grid(scenario, grid, out):
+@command("msi-fit",
+         click.Option(["--grid"], default="128x32", show_default=True,
+                      help="Objective grid as NXxNH."))
+def msi_fit(s, sources, model, grid):
+    """Fit one hypothetical interferer to the scenario's source list."""
+    if not sources:
+        raise SchemaError("msi-fit needs a 'sources' section")
+    nx, nh = _parse_grid(grid)
+    fit = fit_hypothetical_msi(sources, s, (nx, nh))
+    values = {"x_h_m": fit.x_h, "y_h_m": fit.y_h, "p_h_w": fit.p_h,
+              "residual": fit.residual}
+    return {"grid": [nx, nh], "n_sources": len(sources)}, values, [values]
+
+
+@command("oracle-grid",
+         click.Option(["--grid"], default="500x500", show_default=True),
+         sweep_columns=("x_m", "h_m", "sir_system"))
+def oracle_grid(s, sources, model, grid):
     """Brute-force grid argmax of the dual-hop system SIR."""
-    s, _, _ = parse_scenario(scenario)
     nx, nh = _parse_grid(grid)
     x, h, sir = grid_search_dual(s, GridSpec(nx, nh))
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "grid": [nx, nh]},
-        outputs={"x_m": x, "h_m": h, "sir_system": sir},
-        provenance=_provenance())
-    _emit(record, [{"x_m": x, "h_m": h, "sir_system": sir}], out, "oracle_grid")
+    values = {"x_m": x, "h_m": h, "sir_system": sir}
+    return {"grid": [nx, nh]}, values, [values]
 
 
-@main.command("oracle-exhaustive")
-@scenario_argument
-@click.option("--gamma", type=GAMMA, required=True)
-@click.option("--h", "altitude", type=float, required=True)
-@click.option("--kind", type=click.Choice(["deterministic", "stochastic"]),
-              default="deterministic", show_default=True)
-@click.option("--n-max", type=int, default=8, show_default=True)
-@click.option("--per-hop-grid", type=int, default=64, show_default=True)
-@out_option
-@planner_errors
-def oracle_exhaustive(scenario, gamma, altitude, kind, n_max, per_hop_grid,
-                      out):
+@command("oracle-exhaustive", _GAMMA, _H,
+         click.Option(["--kind"],
+                      type=click.Choice(["deterministic", "stochastic"]),
+                      default="deterministic", show_default=True),
+         click.Option(["--n-max"], type=int, default=8, show_default=True),
+         click.Option(["--per-hop-grid"], type=int, default=64,
+                      show_default=True))
+def oracle_exhaustive(s, sources, model, gamma, altitude, kind, n_max,
+                      per_hop_grid):
     """Exhaustive minimum chain size over a dense position grid."""
-    s, _, model = parse_scenario(scenario)
-    if kind == "stochastic":
-        model = _need_model(model)
+    model = _need_model(model) if kind == "stochastic" else None
     n = exhaustive_min_uavs(kind, s, altitude, gamma, n_max, per_hop_grid,
-                            model=model if kind == "stochastic" else None)
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "gamma": gamma, "h_m": altitude,
-                    "kind": kind, "n_max": n_max,
-                    "per_hop_grid": per_hop_grid},
-        outputs={"n_uavs": n if n is not None else "unknown-above-n-max"},
-        provenance=_provenance())
-    _emit(record, [{"n_uavs": n if n is not None else -1}], out,
-          "oracle_exhaustive")
+                            model=model)
+    return ({"gamma": gamma, "h_m": altitude, "kind": kind, "n_max": n_max,
+             "per_hop_grid": per_hop_grid},
+            {"n_uavs": n if n is not None else "unknown-above-n-max"},
+            [{"n_uavs": n if n is not None else -1}])
 
 
-@main.command("baseline-random")
-@scenario_argument
-@click.option("--n-uavs", type=int, required=True)
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@out_option
-@planner_errors
-def baseline_random(scenario, n_uavs, trials, seed, out):
+@command("baseline-random", _N_UAVS,
+         click.Option(["--trials"], type=int, default=1000, show_default=True),
+         click.Option(["--seed"], type=int, default=0, show_default=True),
+         provenance=lambda flags: {"seed": flags["seed"],
+                                   "generator": "PCG64/SeedSequence"})
+def baseline_random(s, sources, model, n_uavs, trials, seed):
     """Monte-Carlo random-placement baseline (seeded, reproducible)."""
-    s, _, _ = parse_scenario(scenario)
     stats = random_placement_baseline(s, n_uavs, trials, seed)
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "n_uavs": n_uavs,
-                    "trials": trials, "seed": seed},
-        outputs={"mean": stats.mean, "max": stats.max, "min": stats.min,
-                 "distribution": "symmetric Dirichlet over hop distances, "
-                                 "uniform shared altitude"},
-        provenance=_provenance(seed=seed, generator="PCG64/SeedSequence"))
-    _emit(record, [{"mean": stats.mean, "max": stats.max, "min": stats.min}],
-          out, "baseline_random")
+    return ({"n_uavs": n_uavs, "trials": trials, "seed": seed},
+            {"mean": stats.mean, "max": stats.max, "min": stats.min,
+             "distribution": "symmetric Dirichlet over hop distances, "
+                             "uniform shared altitude"},
+            [{"mean": stats.mean, "max": stats.max, "min": stats.min}])
 
 
-@main.command("dualhop-case")
-@scenario_argument
-@click.option("--h", "altitude", type=float, required=True)
-@out_option
-@planner_errors
-def dualhop_case(scenario, altitude, out):
+@command("dualhop-case", _H)
+def dualhop_case(s, sources, model, altitude):
     """Fixed-altitude case classification of the dual-hop problem."""
-    s, _, _ = parse_scenario(scenario)
     label = classify_case_fixed_h(s, altitude)
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(s), "h_m": altitude},
-        outputs={"case": label.case_id, "c1": label.c1, "c2": label.c2,
-                 "c3": label.c3},
-        provenance=_provenance())
-    _emit(record, [{"case": label.case_id}], out, "dualhop_case")
+    return ({"h_m": altitude},
+            {"case": label.case_id, "c1": label.c1, "c2": label.c2,
+             "c3": label.c3},
+            [{"case": label.case_id}])
 
 
 # -------------------------------------------------------------------- sweep
 
-_SWEEPABLE_COMMANDS = {
-    "dualhop-opt", "multihop-design", "multihop-distributed", "oracle-grid",
+#: Scenario fields a sweep axis may set, by their scenario-file names.
+_SWEEP_FIELDS = {
+    "geometry.d_m": "distance_tx_rx", "geometry.msi_x_m": "msi_x",
+    "geometry.msi_y_m": "msi_y", "geometry.h_min_m": "h_min",
+    "geometry.h_max_m": "h_max", "geometry.d_min_m": "d_min",
+    "powers.p_tx_w": "p_tx", "powers.p_uav_w": "p_uav",
+    "powers.p_msi_w": "p_msi",
 }
-
-
-def _set_scenario_field(s: Scenario, dotted: str, value: float) -> Scenario:
-    mapping = {
-        "geometry.d_m": "distance_tx_rx", "geometry.msi_x_m": "msi_x",
-        "geometry.msi_y_m": "msi_y", "geometry.h_min_m": "h_min",
-        "geometry.h_max_m": "h_max", "geometry.d_min_m": "d_min",
-        "powers.p_tx_w": "p_tx", "powers.p_uav_w": "p_uav",
-        "powers.p_msi_w": "p_msi",
-    }
-    if dotted not in mapping:
-        raise SchemaError(f"cannot sweep field {dotted!r}")
-    return dataclasses.replace(s, **{mapping[dotted]: value})
 
 
 def _parse_range(spec: str) -> tuple[str, list[float]]:
@@ -677,32 +597,68 @@ def _parse_range(spec: str) -> tuple[str, list[float]]:
     return name, values
 
 
-@main.command("sweep")
-@scenario_argument
-@click.argument("subcommand",
-                type=click.Choice(sorted(_SWEEPABLE_COMMANDS)))
-@click.option("--param", "params", multiple=True, required=True,
-              help="Sweep axis, e.g. powers.p_uav_w=1:8:4 or h=10:50:9.")
-@click.option("--zip", "zipped", is_flag=True,
-              help="Zip the axes instead of taking their product.")
-@click.option("--gamma", type=GAMMA, default=None)
-@click.option("--h", "altitude", type=float, default=None)
-@click.option("--n-uavs", type=int, default=None)
-@click.option("--epsilon", type=float, default=0.1, show_default=True)
-@click.option("--grid", default="500x500", show_default=True)
-@out_option
-@planner_errors
-def sweep(scenario, subcommand, params, zipped, gamma, altitude, n_uavs,
-          epsilon, grid, out):
+def _axis_value(option: click.Option, name: str, value: float):
+    """A flag axis value as the option's type takes it."""
+    if option.type is click.INT:
+        if not value.is_integer():
+            raise SchemaError(
+                f"sweep parameter {name!r} takes integers, got {value}")
+        return int(value)
+    if option.type not in (click.FLOAT, GAMMA):
+        raise SchemaError(f"cannot sweep parameter {name!r}")
+    return value
+
+
+def _check_flags(flags: dict) -> None:
+    """Reject a point's invalid flag values before any point runs; the
+    planner's own check would only fail that point's status."""
+    for key in ("gamma", "epsilon"):
+        if key in flags:
+            require_positive(key, flags[key])
+    if "grid" in flags:
+        _parse_grid(flags["grid"])
+
+
+@command("sweep",
+         click.Argument(["subcommand"], type=click.Choice(sorted(
+             name for name, cmd in main.commands.items()
+             if cmd.sweep_columns))),
+         click.Option(["--param", "params"], multiple=True, required=True,
+                      help="Sweep axis, e.g. powers.p_uav_w=1:8:4 or "
+                           "h=10:50:9."),
+         click.Option(["--zip", "zipped"], is_flag=True,
+                      help="Zip the axes instead of taking their product."),
+         click.Option(["--gamma"], type=GAMMA, default=None),
+         click.Option(["--h", "altitude"], type=float, default=None),
+         click.Option(["--n-uavs"], type=int, default=None),
+         click.Option(["--epsilon"], type=float, default=None),
+         click.Option(["--grid"], default=None))
+def sweep(s, sources, model, subcommand, params, zipped, **given):
     """Run one subcommand over a grid of scenario fields or flags.
 
     Per-point failures are recorded (status column) and the batch continues.
     """
-    base, _, _ = parse_scenario(scenario)
+    cmd = main.commands[subcommand]
+    by_flag = {opt: p for p in cmd.options for opt in p.opts}
+
+    def option(flag: str) -> click.Option:
+        if flag not in by_flag:
+            raise SchemaError(f"{subcommand} takes no {flag}")
+        return by_flag[flag]
+
+    own = {p.name: p.opts[0] for p in main.commands["sweep"].options}
+    flags = {p.name: p.default for p in cmd.options if not p.required}
+    flags.update({option(own[k]).name: v for k, v in given.items()
+                  if v is not None})
     axes = [_parse_range(p) for p in params]
+    swept = {name: option("--" + name.replace("_", "-"))
+             for name, _ in axes if "." not in name}
+    missing = [p.opts[0] for p in cmd.options if p.required
+               and p.name not in flags and p not in swept.values()]
+    if missing:
+        raise SchemaError(f"{subcommand} needs {' and '.join(missing)}")
     if zipped:
-        lengths = {len(vals) for _, vals in axes}
-        if len(lengths) != 1:
+        if len({len(vals) for _, vals in axes}) != 1:
             raise SchemaError("zipped sweep axes must share one length")
         points = [dict(zip([n for n, _ in axes], combo))
                   for combo in zip(*[vals for _, vals in axes])]
@@ -711,30 +667,29 @@ def sweep(scenario, subcommand, params, zipped, gamma, altitude, n_uavs,
         for name, vals in axes:
             points = [{**pt, name: v} for pt in points for v in vals]
 
-    rows = []
-    for idx, pt in enumerate(points):
-        s = base
-        flags = {"gamma": gamma, "h": altitude, "n_uavs": n_uavs,
-                 "epsilon": epsilon}
+    runs = []
+    for pt in points:
+        point_s, point_flags = s, dict(flags)
         for name, value in pt.items():
-            key = name.replace("-", "_")
-            if "." in name:
-                s = _set_scenario_field(s, name, value)
-                continue
-            if key not in flags:
-                raise SchemaError(f"cannot sweep parameter {name!r}")
-            if key == "n_uavs":
-                if not value.is_integer():
-                    raise SchemaError(
-                        f"sweep parameter {name!r} takes integers, got {value}")
-                value = int(value)
-            flags[key] = value
-        for key in ("gamma", "epsilon"):
-            if flags[key] is not None:
-                require_positive(key, flags[key])
-        row = {"index": idx, **{k: v for k, v in pt.items()}}
+            if name in swept:
+                point_flags[swept[name].name] = _axis_value(swept[name], name,
+                                                            value)
+            elif name in _SWEEP_FIELDS:
+                point_s = dataclasses.replace(
+                    point_s, **{_SWEEP_FIELDS[name]: value})
+            else:
+                raise SchemaError(f"cannot sweep field {name!r}")
+        _check_flags(point_flags)
+        runs.append((pt, point_s, point_flags))
+
+    rows = []
+    for idx, (pt, point_s, point_flags) in enumerate(runs):
+        row = {"index": idx, **pt}
         try:
-            row.update(_run_sweep_point(s, subcommand, flags, grid))
+            _, outputs, point_rows = cmd.step(point_s, sources, model,
+                                              **point_flags)
+            values = {**point_rows[-1], **outputs}
+            row.update({k: values[k] for k in cmd.sweep_columns})
             row["status"] = "ok"
         except InfeasibleError as exc:
             row["status"] = f"infeasible: {exc}"
@@ -742,45 +697,12 @@ def sweep(scenario, subcommand, params, zipped, gamma, altitude, n_uavs,
             row["status"] = f"error: {exc}"
         rows.append(row)
 
-    keys: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    rows = [{k: row.get(k, "") for k in keys} for row in rows]
-    record = ResultRecord(
-        command=sys.argv[1:],
-        parameters={**_scenario_params(base), "subcommand": subcommand,
-                    "axes": [n for n, _ in axes], "points": len(points)},
-        outputs={"ok": sum(1 for r in rows if r["status"] == "ok"),
-                 "failed": sum(1 for r in rows if r["status"] != "ok")},
-        provenance=_provenance())
-    _emit(record, rows, out, "sweep")
-
-
-def _run_sweep_point(s: Scenario, subcommand: str, flags: dict,
-                     grid: str) -> dict:
-    if subcommand == "dualhop-opt":
-        x, h, report = optimal_position(s)
-        return {"x_m": x, "h_m": h, "sir_system": report.system_sir}
-    if subcommand == "oracle-grid":
-        nx, nh = _parse_grid(grid)
-        x, h, sir = grid_search_dual(s, GridSpec(nx, nh))
-        return {"x_m": x, "h_m": h, "sir_system": sir}
-    if subcommand == "multihop-design":
-        if flags["gamma"] is None or flags["h"] is None:
-            raise SchemaError("multihop-design sweep needs --gamma and --h")
-        result = design_min_uavs(s, flags["h"], flags["gamma"])
-        return {"n_uavs": result.placement.uav_count}
-    if subcommand == "multihop-distributed":
-        if flags["n_uavs"] is None or flags["h"] is None:
-            raise SchemaError(
-                "multihop-distributed sweep needs --n-uavs and --h")
-        g, placement, trace = distributed_max_sir(
-            s, flags["h"], flags["n_uavs"], flags["epsilon"])
-        return {"gamma_final": g, "sir_system": trace.system_sirs[-1],
-                "iterations": len(trace.gammas)}
-    raise SchemaError(f"unsupported sweep subcommand {subcommand!r}")
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    ok = sum(row["status"] == "ok" for row in rows)
+    return ({"subcommand": subcommand, "axes": [n for n, _ in axes],
+             "points": len(points)},
+            {"ok": ok, "failed": len(rows) - ok},
+            [{k: row.get(k, "") for k in keys} for row in rows])
 
 
 if __name__ == "__main__":

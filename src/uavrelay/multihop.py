@@ -597,6 +597,8 @@ def refine_altitudes(s: Scenario, start: Placement, eps_h: float,
     non-decreasing across iterations.
     """
     require_non_negative("eps_h", eps_h)
+    if iterations < 0:
+        raise DomainError("iterations must be >= 0")
     if passes < 1:
         raise DomainError("passes must be >= 1")
     hops = list(start.hop_distances)

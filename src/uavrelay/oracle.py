@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import Scenario, multihop_link_sirs, require_altitude
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 from .stochastic import InterferenceModel, upsilon_field
 
 
@@ -85,8 +85,8 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
     """
     if planner_kind not in ("deterministic", "stochastic"):
         raise DomainError("planner_kind must be deterministic or stochastic")
-    if n_max > 8:
-        raise DomainError("n_max capped at 8 (combinatorial guard)")
+    if not 1 <= n_max <= 8:
+        raise DomainError("n_max must be in [1, 8] (combinatorial guard)")
     if per_hop_grid < 1:
         raise DomainError("per_hop_grid must be >= 1")
     if planner_kind == "stochastic" and model is None:
@@ -110,7 +110,7 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
         first_ok = (ups_pos * s.p_tx / (ch.eta_nlos * (pos ** 2 + h ** 2))) >= gamma
         last_ok = (ups_pos[-1] * s.p_uav
                    / (ch.eta_nlos * ((D - pos) ** 2 + h ** 2))) >= gamma
-    if n_max >= 1 and bool(np.any(first_ok & last_ok)):
+    if bool(np.any(first_ok & last_ok)):
         return 1  # one UAV suffices: no need for the hop matrices
 
     d_mat = pos[None, :] - pos[:, None]  # hop from i to j
@@ -140,7 +140,9 @@ def random_placement_baseline(s: Scenario, n_uavs: int, trials: int,
 
     Hop distances are a symmetric Dirichlet split of the span, the shared
     altitude is uniform in the band; one child PCG64 stream per trial keeps
-    results reproducible and order-independent.
+    results reproducible and order-independent.  A trial draws up to 1000
+    splits to keep the UAVs d_min apart and raises InfeasibleError if none
+    does.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -156,6 +158,10 @@ def random_placement_baseline(s: Scenario, n_uavs: int, trials: int,
             hops = rng.dirichlet(np.ones(n_uavs + 1)) * s.distance_tx_rx
             if n_uavs == 1 or np.all(hops[1:-1] >= s.d_min):
                 break
+        else:
+            raise InfeasibleError(
+                f"trial {t}: none of 1000 hop splits keeps the UAVs d_min "
+                f"= {s.d_min} apart")
         h = rng.uniform(s.h_min, s.h_max)
         sirs[t] = min(multihop_link_sirs(s, hops.tolist(), float(h)))
     return BaselineStats(float(sirs.mean()), float(sirs.max()),

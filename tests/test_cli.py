@@ -1,5 +1,8 @@
+import csv
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -216,9 +219,25 @@ def test_non_finite_inputs_exit_2(runner, scenario_file, tmp_path):
 def test_counts_below_their_minimum_exit_2(runner, scenario_file):
     for args in (["oracle-exhaustive", "--gamma", "x5", "--h", "20",
                   "--per-hop-grid", "-1"],
+                 ["oracle-exhaustive", "--gamma", "x5", "--h", "20",
+                  "--n-max", "0"],
+                 ["oracle-exhaustive", "--gamma", "x5", "--h", "20",
+                  "--n-max", "-3"],
+                 ["refine-altitudes", "--n-uavs", "3", "--h", "20",
+                  "--iterations", "-1"],
                  ["baseline-random", "--n-uavs", "3", "--seed", "-1"]):
         result = runner.invoke(main, [args[0], str(scenario_file), *args[1:]])
         assert result.exit_code == 2, (args, result.output)
+
+
+def test_baseline_without_a_separated_split_exits_3(runner, tmp_path):
+    path = write_scenario_yaml(tmp_path / "s.yaml", d_min=2000.0)
+    out = tmp_path / "bl"
+    result = runner.invoke(main, ["baseline-random", str(path), "--n-uavs",
+                                  "3", "--trials", "5", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "d_min" in result.output
+    assert not (tmp_path / "bl.json").exists()
 
 
 @pytest.mark.parametrize("grid", ["0x5", "5x0", "-3x5"])
@@ -429,6 +448,109 @@ def test_sweep_integer_flag_axis(runner, scenario_file, tmp_path):
         "--param", "n-uavs=2:4:4", "--h", "20"])
     assert result.exit_code == 2, result.output
     assert "integers" in result.output
+
+
+#: Sweep command lines the subcommand cannot run: a missing flag, a flag or
+#: axis the subcommand does not take, an unparsable grid.
+BAD_SWEEPS = {
+    "missing-gamma-and-h": ["multihop-design",
+                            "--param", "powers.p_uav_w=1:2:2"],
+    "missing-n-uavs": ["multihop-distributed", "--param", "h=20:40:2"],
+    "unparsable-grid": ["oracle-grid", "--param", "powers.p_uav_w=1:2:2",
+                        "--grid", "bad"],
+    "foreign-axis": ["dualhop-opt", "--param", "h=10:20:2"],
+    "foreign-flag": ["dualhop-opt", "--param", "powers.p_uav_w=1:2:2",
+                     "--h", "20"],
+    "foreign-epsilon": ["multihop-design", "--param", "gamma=5", "--h", "20",
+                        "--epsilon", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+def test_sweep_rejects_its_command_line_before_the_first_point(
+        runner, scenario_file, tmp_path, case):
+    result = runner.invoke(main, ["sweep", str(scenario_file),
+                                  *BAD_SWEEPS[case],
+                                  "--out", str(tmp_path / "sw")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "sw.json").exists()
+
+
+#: A two-point sweep of each sweepable subcommand: its flags and its axis.
+SWEEP_POINTS = {
+    "dualhop-opt": ([], "powers.p_uav_w=0.5:2:2"),
+    "oracle-grid": (["--grid", "40x20"], "geometry.msi_y_m=100:400:2"),
+    "multihop-design": (["--h", "20"], "gamma=3:5:2"),
+    "multihop-distributed": (["--h", "20"], "n-uavs=2:3:2"),
+}
+
+#: The conftest YAML keyword of each scenario axis above.
+YAML_KEYWORDS = {"powers.p_uav_w": "p_uav", "geometry.msi_y_m": "msi_y"}
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_POINTS))
+def test_sweep_point_equals_the_single_command(runner, tmp_path, name):
+    """Each sweep column repeats, by repr, the single run's record or CSV."""
+    flags, axis = SWEEP_POINTS[name]
+    axis_name = axis.split("=")[0]
+    path = write_scenario_yaml(tmp_path / "s.yaml", d_min=4.0)
+    doc = run_ok(runner, ["sweep", str(path), name, "--param", axis, *flags,
+                          "--out", str(tmp_path / "sw")])
+    assert doc["outputs"] == {"ok": 2, "failed": 0}
+    for i, point in enumerate(read_csv(tmp_path / "sw.csv")):
+        value = float(point[axis_name])
+        if axis_name in YAML_KEYWORDS:
+            single_path = write_scenario_yaml(
+                tmp_path / f"s{i}.yaml", d_min=4.0,
+                **{YAML_KEYWORDS[axis_name]: value})
+            point_flags = flags
+        else:
+            single_path = path
+            text = str(int(value)) if axis_name == "n-uavs" else repr(value)
+            point_flags = [*flags, f"--{axis_name}", text]
+        prefix = tmp_path / f"single{i}"
+        outputs = run_ok(runner, [name, str(single_path), *point_flags,
+                                  "--out", str(prefix)])["outputs"]
+        last_row = read_csv(f"{prefix}.csv")[-1]
+        columns = set(point) - {"index", axis_name, "status"}
+        assert columns
+        for column in columns:
+            found = [v for v in (outputs.get(column), last_row.get(column))
+                     if v is not None]
+            assert found, column
+            for v in found:
+                assert repr(float(v)) == repr(float(point[column])), column
+
+
+def test_readme_commands_use_registered_options():
+    """The README's command block names every subcommand once and passes
+    each only options it defines; sweep passes only its subcommand's flags."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    block = next(b for b in blocks if b.startswith("uavrelay "))
+    lines = block.replace("\\\n", " ").splitlines()
+    names = []
+    for line in lines:
+        program, name, *args = shlex.split(line)
+        assert program == "uavrelay", line
+        assert name in main.commands, line
+        names.append(name)
+        command = main.commands[name]
+        defined = {opt for p in command.params for opt in p.opts}
+        flags = [a for a in args if a.startswith("--")]
+        assert set(flags) <= defined, line
+        command.make_context(name, list(args))
+        if name == "sweep":
+            sub = main.commands[args[1]]
+            taken = {opt for p in sub.params for opt in p.opts}
+            assert set(flags) - {"--param", "--zip", "--out"} <= taken, line
+    assert sorted(names) == sorted(main.commands)
 
 
 def test_sweep_continues_past_infeasible_points(runner, scenario_file,

@@ -258,6 +258,8 @@ def test_refine_altitudes_validation(channel):
             refine_altitudes(s, start, eps_h, 5)
     with pytest.raises(DomainError):
         refine_altitudes(s, start, 10.0, 5, passes=0)
+    with pytest.raises(DomainError):
+        refine_altitudes(s, start, 10.0, -1)
 
 
 def test_design_matches_greedy_structure_random(channel):

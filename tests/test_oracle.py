@@ -81,6 +81,9 @@ def test_exhaustive_validation(channel):
         exhaustive_min_uavs("stochastic", s, 15.0, 1.0)  # needs a model
     with pytest.raises(DomainError):
         exhaustive_min_uavs("deterministic", s, 15.0, 1.0, per_hop_grid=0)
+    for n_max in (0, -3):
+        with pytest.raises(DomainError):
+            exhaustive_min_uavs("deterministic", s, 15.0, 1.0, n_max=n_max)
 
 
 def test_exhaustive_stochastic_runs(channel):
@@ -121,3 +124,12 @@ def test_baseline_validation(channel):
         random_placement_baseline(s, 2, 0, seed=0)
     with pytest.raises(DomainError):
         random_placement_baseline(s, 2, 10, seed=-1)
+
+
+def test_baseline_infeasible_separation(channel):
+    """No split of D = 1000 m keeps three UAVs 2000 m apart: no statistics."""
+    s = make_scenario(channel, d_min=2000.0)
+    with pytest.raises(InfeasibleError, match="d_min"):
+        random_placement_baseline(s, 3, 5, seed=0)
+    # A single UAV has no UAV-to-UAV hop, so d_min never binds.
+    assert random_placement_baseline(s, 1, 5, seed=0).trials == 5
