@@ -1,6 +1,8 @@
 """Command line front end: scenario files, planner subcommands, sweeps.
 
-Scenario files are YAML with unit-suffixed keys (see `parse_scenario`).
+Scenario files are YAML with unit-suffixed keys.  `_SCHEMA` names every key
+of the numeric sections, `_FIELD_KEYS` those of each interference_field variant,
+and one checker, `_section`, validates each mapping of the file against them.
 Every subcommand writes a JSON result record plus a CSV table meant for
 direct plotting.  All SIR values are linear inside; dB appears only at the
 flag boundary (`--gamma 11db`).
@@ -55,95 +57,90 @@ def _fmt(v: float) -> str:
 
 # ---------------------------------------------------------------- scenario IO
 
-_CHANNEL_KEYS = {"carrier_frequency_hz", "c_los", "c_nlos", "eta_nlos"}
-_GEOMETRY_KEYS = {"d_m", "msi_x_m", "msi_y_m", "h_min_m", "h_max_m", "d_min_m"}
-_POWER_KEYS = {"p_tx_w", "p_uav_w", "p_msi_w"}
-_SOURCE_KEYS = {"x_m", "y_m", "p_w"}
-_FIELD_VARIANTS = {"deterministic", "beta", "beta_knots", "tabulated_upsilon"}
+#: The scenario file's numeric sections: file key -> keyword of
+#: `ChannelParams.from_carrier` (channel) or field of `Scenario`.
+_SCHEMA = {
+    "channel": {"carrier_frequency_hz": "carrier_frequency",
+                "c_los": "excess_loss_los", "c_nlos": "excess_loss_nlos",
+                "eta_nlos": "eta_nlos"},
+    "geometry": {"d_m": "distance_tx_rx", "msi_x_m": "msi_x",
+                 "msi_y_m": "msi_y", "h_min_m": "h_min", "h_max_m": "h_max",
+                 "d_min_m": "d_min"},
+    "powers": {"p_tx_w": "p_tx", "p_uav_w": "p_uav", "p_msi_w": "p_msi"},
+}
+#: Keys a file may leave out; the built object's default applies.
+_OPTIONAL = ("eta_nlos", "d_min_m")
+#: interference_field variant -> (number keys, list keys) beside `variant`.
+_FIELD_KEYS = {
+    "deterministic": (("power_w", "altitude_m"), ()),
+    "beta": (("alpha", "beta", "i_max_w", "altitude_m"), ()),
+    "beta_knots": (("i_max_w", "altitude_m"), ("x_m", "alpha", "beta")),
+    "tabulated_upsilon": (("altitude_m",), ("x_m", "upsilon")),
+}
 
 
-def _require_section(doc: dict, name: str, allowed: set[str],
-                     required: set[str]) -> dict:
-    if name not in doc:
-        raise SchemaError(f"missing section {name!r}")
-    section = doc[name]
-    if not isinstance(section, dict):
-        raise SchemaError(f"section {name!r} must be a mapping")
-    unknown = set(section) - allowed
-    if unknown:
-        raise SchemaError(
-            f"unknown key(s) in {name!r}: {', '.join(sorted(unknown))} "
-            "(unit suffixes are mandatory)")
-    missing = required - set(section)
-    if missing:
-        raise SchemaError(f"missing key(s) in {name!r}: {', '.join(sorted(missing))}")
-    return section
-
-
-def _number(section: dict, sec_name: str, key: str) -> float:
-    value = section[key]
+def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{sec_name}.{key} must be a number, got {value!r}")
+        raise SchemaError(f"{where} must be a number, got {value!r}")
     return float(value)
 
 
-def _parse_field(raw: dict) -> InterferenceModel:
+def _section(raw, name: str, numbers, lists=(), optional=()) -> dict:
+    """Check one mapping of the file and return its values by key: a float
+    per key of `numbers`, a float array per key of `lists`.  Unknown keys,
+    missing keys (except those in `optional`) and non-numbers are errors."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{name!r} must be a mapping")
+    given = set(map(str, raw))
+    unknown = ", ".join(sorted(given - {*numbers, *lists}))
+    if unknown:
+        raise SchemaError(f"unknown key(s) in {name!r}: {unknown} "
+                          "(unit suffixes are mandatory)")
+    missing = ", ".join(sorted({*numbers, *lists} - given - {*optional}))
+    if missing:
+        raise SchemaError(f"missing key(s) in {name!r}: {missing}")
+    values = {k: _number(raw[k], f"{name}.{k}") for k in numbers if k in raw}
+    for k in lists:
+        if not isinstance(raw[k], list) or not raw[k]:
+            raise SchemaError(f"{name}.{k} must be a non-empty list")
+        values[k] = np.array([_number(v, f"{name}.{k}.{i}")
+                              for i, v in enumerate(raw[k])])
+    return values
+
+
+def _parse_field(raw) -> InterferenceModel:
+    name = "interference_field"
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{name!r} must be a mapping")
     if "variant" not in raw:
-        raise SchemaError("interference_field needs a 'variant' key")
+        raise SchemaError(f"{name} needs a 'variant' key")
     variant = raw["variant"]
-    if variant not in _FIELD_VARIANTS:
-        raise SchemaError(f"unknown interference_field variant {variant!r}")
-    sec = "interference_field"
-
-    def num(key):
-        if key not in raw:
-            raise SchemaError(f"missing key(s) in {sec!r}: {key}")
-        return _number(raw, sec, key)
-
-    def arr(key):
-        if key not in raw or not isinstance(raw[key], list) or not raw[key]:
-            raise SchemaError(f"{sec}.{key} must be a non-empty list")
-        return np.array([_number(raw[key], f"{sec}.{key}", i)
-                         for i in range(len(raw[key]))])
-
-    def knots(values_key):
-        """Knot positions and values of a piecewise-linear profile in x."""
-        xs, values = arr("x_m"), arr(values_key)
-        if len(xs) != len(values):
-            raise SchemaError(f"{variant} arrays must share one length")
-        if not np.all(xs[1:] > xs[:-1]):
-            raise SchemaError(f"{sec}.x_m must be strictly increasing")
-        return xs, values
-
-    def check_keys(allowed):
-        unknown = set(raw) - allowed - {"variant"}
-        if unknown:
-            raise SchemaError(
-                f"unknown key(s) in {sec!r}: {', '.join(sorted(unknown))}")
-
+    if not isinstance(variant, str) or variant not in _FIELD_KEYS:
+        raise SchemaError(f"unknown {name} variant {variant!r}")
+    v = _section({k: x for k, x in raw.items() if k != "variant"}, name,
+                 *_FIELD_KEYS[variant])
     if variant == "deterministic":
-        check_keys({"power_w", "altitude_m"})
-        return DeterministicField(num("power_w"), num("altitude_m"))
+        return DeterministicField(v["power_w"], v["altitude_m"])
     if variant == "beta":
-        check_keys({"alpha", "beta", "i_max_w", "altitude_m"})
-        return BetaField(num("alpha"), num("beta"), num("i_max_w"),
-                         num("altitude_m"))
+        return BetaField(v["alpha"], v["beta"], v["i_max_w"], v["altitude_m"])
+    # The knot variants: piecewise-linear profiles in x.
+    xs = v["x_m"]
+    if any(len(v[k]) != len(xs) for k in _FIELD_KEYS[variant][1]):
+        raise SchemaError(f"{variant} arrays must share one length")
+    if not np.all(xs[1:] > xs[:-1]):
+        raise SchemaError(f"{name}.x_m must be strictly increasing")
     if variant == "beta_knots":
-        check_keys({"x_m", "alpha", "beta", "i_max_w", "altitude_m"})
-        xs, al = knots("alpha")
-        _, be = knots("beta")
-
-        def interp(values):
-            return lambda x: float(np.interp(x, xs, values))
-
-        return BetaField(interp(al), interp(be), num("i_max_w"),
-                         num("altitude_m"))
+        alpha, beta = v["alpha"], v["beta"]
+        return BetaField(lambda x: float(np.interp(x, xs, alpha)),
+                         lambda x: float(np.interp(x, xs, beta)),
+                         v["i_max_w"], v["altitude_m"])
     # tabulated_upsilon: store as a deterministic level 1/Upsilon(x), which
-    # reproduces the same expected SIRs.
-    check_keys({"x_m", "upsilon", "altitude_m"})
-    xs, ups = knots("upsilon")
+    # reproduces the same expected SIRs.  Upsilon = E(1/I) is finite and > 0.
+    ups = v["upsilon"]
+    if not np.all((ups > 0.0) & np.isfinite(ups)):
+        raise SchemaError(f"{name}.upsilon knots must be finite and > 0")
     return DeterministicField(lambda x: 1.0 / float(np.interp(x, xs, ups)),
-                              num("altitude_m"))
+                              v["altitude_m"])
 
 
 def parse_scenario(path: str) -> tuple[Scenario, list[InterferenceSource],
@@ -162,58 +159,31 @@ def parse_scenario(path: str) -> tuple[Scenario, list[InterferenceSource],
         raise SchemaError(f"invalid YAML in {path}: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a mapping")
-    unknown = set(doc) - {"channel", "geometry", "powers", "sources",
-                          "interference_field"}
+    unknown = set(map(str, doc)) - {*_SCHEMA, "sources", "interference_field"}
     if unknown:
         raise SchemaError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
 
-    ch_raw = _require_section(doc, "channel", _CHANNEL_KEYS,
-                              {"carrier_frequency_hz", "c_los", "c_nlos"})
-    geo = _require_section(doc, "geometry", _GEOMETRY_KEYS,
-                           {"d_m", "msi_x_m", "msi_y_m", "h_min_m", "h_max_m"})
-    pw = _require_section(doc, "powers", _POWER_KEYS, _POWER_KEYS)
-
-    channel = ChannelParams.from_carrier(
-        _number(ch_raw, "channel", "carrier_frequency_hz"),
-        _number(ch_raw, "channel", "c_los"),
-        _number(ch_raw, "channel", "c_nlos"),
-        eta_nlos=(_number(ch_raw, "channel", "eta_nlos")
-                  if "eta_nlos" in ch_raw else None))
+    fields = {}
+    for name, keys in _SCHEMA.items():
+        if name not in doc:
+            raise SchemaError(f"missing section {name!r}")
+        values = _section(doc[name], name, keys, optional=_OPTIONAL)
+        fields[name] = {keys[k]: value for k, value in values.items()}
     try:
         scenario = Scenario(
-            distance_tx_rx=_number(geo, "geometry", "d_m"),
-            msi_x=_number(geo, "geometry", "msi_x_m"),
-            msi_y=_number(geo, "geometry", "msi_y_m"),
-            p_tx=_number(pw, "powers", "p_tx_w"),
-            p_uav=_number(pw, "powers", "p_uav_w"),
-            p_msi=_number(pw, "powers", "p_msi_w"),
-            h_min=_number(geo, "geometry", "h_min_m"),
-            h_max=_number(geo, "geometry", "h_max_m"),
-            channel=channel,
-            d_min=(_number(geo, "geometry", "d_min_m")
-                   if "d_min_m" in geo else 0.0))
+            channel=ChannelParams.from_carrier(**fields["channel"]),
+            **fields["geometry"], **fields["powers"])
     except DomainError as exc:
         raise SchemaError(f"scenario range violation: {exc}")
 
+    if not isinstance(doc.get("sources", []), list):
+        raise SchemaError("'sources' must be a list")
     sources = []
-    if "sources" in doc:
-        if not isinstance(doc["sources"], list):
-            raise SchemaError("'sources' must be a list")
-        for i, raw in enumerate(doc["sources"]):
-            if not isinstance(raw, dict) or set(raw) != _SOURCE_KEYS:
-                raise SchemaError(
-                    f"sources[{i}] must have exactly keys x_m, y_m, p_w")
-            sources.append(InterferenceSource(
-                _number(raw, f"sources[{i}]", "x_m"),
-                _number(raw, f"sources[{i}]", "y_m"),
-                _number(raw, f"sources[{i}]", "p_w")))
-
-    model = None
-    if "interference_field" in doc:
-        raw = doc["interference_field"]
-        if not isinstance(raw, dict):
-            raise SchemaError("'interference_field' must be a mapping")
-        model = _parse_field(raw)
+    for i, raw in enumerate(doc.get("sources", [])):
+        v = _section(raw, f"sources[{i}]", ("x_m", "y_m", "p_w"))
+        sources.append(InterferenceSource(v["x_m"], v["y_m"], v["p_w"]))
+    model = (_parse_field(doc["interference_field"])
+             if "interference_field" in doc else None)
     return scenario, sources, model
 
 
@@ -294,13 +264,9 @@ def planner_errors(fn):
 
 
 def _scenario_params(s: Scenario) -> dict:
-    return {
-        "d_m": s.distance_tx_rx, "msi_x_m": s.msi_x, "msi_y_m": s.msi_y,
-        "p_tx_w": s.p_tx, "p_uav_w": s.p_uav, "p_msi_w": s.p_msi,
-        "h_min_m": s.h_min, "h_max_m": s.h_max, "d_min_m": s.d_min,
-        "mu_los": s.channel.mu_los, "mu_nlos": s.channel.mu_nlos,
-        "eta_nlos": s.channel.eta_nlos,
-    }
+    return {**{key: getattr(s, field) for name in ("geometry", "powers")
+               for key, field in _SCHEMA[name].items()},
+            **dataclasses.asdict(s.channel)}
 
 
 def _need_model(model) -> InterferenceModel:
@@ -570,13 +536,8 @@ def dualhop_case(s, sources, model, altitude):
 # -------------------------------------------------------------------- sweep
 
 #: Scenario fields a sweep axis may set, by their scenario-file names.
-_SWEEP_FIELDS = {
-    "geometry.d_m": "distance_tx_rx", "geometry.msi_x_m": "msi_x",
-    "geometry.msi_y_m": "msi_y", "geometry.h_min_m": "h_min",
-    "geometry.h_max_m": "h_max", "geometry.d_min_m": "d_min",
-    "powers.p_tx_w": "p_tx", "powers.p_uav_w": "p_uav",
-    "powers.p_msi_w": "p_msi",
-}
+_SWEEP_FIELDS = {f"{name}.{key}": field for name in ("geometry", "powers")
+                 for key, field in _SCHEMA[name].items()}
 
 
 def _parse_range(spec: str) -> tuple[str, list[float]]:
@@ -669,18 +630,17 @@ def sweep(s, sources, model, subcommand, params, zipped, **given):
 
     runs = []
     for pt in points:
-        point_s, point_flags = s, dict(flags)
+        point_fields, point_flags = {}, dict(flags)
         for name, value in pt.items():
             if name in swept:
                 point_flags[swept[name].name] = _axis_value(swept[name], name,
                                                             value)
             elif name in _SWEEP_FIELDS:
-                point_s = dataclasses.replace(
-                    point_s, **{_SWEEP_FIELDS[name]: value})
+                point_fields[_SWEEP_FIELDS[name]] = value
             else:
                 raise SchemaError(f"cannot sweep field {name!r}")
         _check_flags(point_flags)
-        runs.append((pt, point_s, point_flags))
+        runs.append((pt, dataclasses.replace(s, **point_fields), point_flags))
 
     rows = []
     for idx, (pt, point_s, point_flags) in enumerate(runs):

@@ -53,29 +53,19 @@ class HypotheticalMsi:
 
 
 def total_interference(sources: Sequence[InterferenceSource],
-                       x: float, y: float, h: float, eta: float) -> float:
+                       x, y: float, h, eta: float):
     """Aggregate interference power density at (x, y, h).
 
     Each source contributes p_i / eta / ((x - x_i)^2 + y_i^2 + h^2); the
-    source offsets use the source's own y coordinate, not the query's.
+    source offsets use the source's own y coordinate, not the query's.  x and
+    h may be floats or numpy arrays that broadcast together.
     """
-    if h <= 0.0:
+    if np.any(h <= 0.0):
         raise DomainError("h must be > 0")
     if eta <= 0.0:
         raise DomainError("eta must be > 0")
     return sum(src.power / eta / ((x - src.x) ** 2 + src.y ** 2 + h ** 2)
                for src in sources)
-
-
-def _field_on_grid(sources: Sequence[InterferenceSource],
-                   xg: np.ndarray, hg: np.ndarray) -> np.ndarray:
-    """Aggregate p_i/((x-x_i)^2+y_i^2+h^2) on the (x, h) midpoint grid."""
-    xx = xg[:, None]
-    hh = hg[None, :]
-    total = np.zeros((xg.size, hg.size))
-    for src in sources:
-        total += src.power / ((xx - src.x) ** 2 + src.y ** 2 + hh ** 2)
-    return total
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = GOLDEN_ITERS) -> float:
@@ -115,10 +105,10 @@ def fit_hypothetical_msi(sources: Sequence[InterferenceSource], s: Scenario,
     dh = (s.h_max - s.h_min) / nh if s.h_max > s.h_min else 1.0
     xg = (np.arange(nx) + 0.5) * dx
     hg = s.h_min + (np.arange(nh) + 0.5) * dh
-    target = _field_on_grid(sources, xg, hg)
-    cell = dx * dh
     xx = xg[:, None]
     hh = hg[None, :]
+    target = total_interference(sources, xx, 0.0, hh, 1.0)
+    cell = dx * dh
     p_total = sum(src.power for src in sources)
 
     def objective(x_h: float, y_h: float, p_h: float) -> float:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import uavrelay
@@ -16,7 +18,7 @@ from uavrelay.cli import GAMMA, main, parse_scenario
 from uavrelay.errors import SchemaError
 from uavrelay.stochastic import BetaField, DeterministicField
 
-from conftest import write_scenario_yaml
+from conftest import C_LOS, C_NLOS, write_scenario_yaml
 
 
 @pytest.fixture
@@ -131,6 +133,149 @@ def test_parse_field_bad_variant(tmp_path):
         extra="interference_field:\n  variant: gaussian\n  power_w: 1.0")
     with pytest.raises(SchemaError, match="variant"):
         parse_scenario(str(path))
+
+
+#: A valid scenario naming every section; FIELDS holds one field per variant.
+BASE_DOC = {
+    "channel": {"carrier_frequency_hz": 2.0e9, "c_los": C_LOS,
+                "c_nlos": C_NLOS},
+    "geometry": {"d_m": 1000.0, "msi_x_m": 500.0, "msi_y_m": 400.0,
+                 "h_min_m": 5.0, "h_max_m": 400.0},
+    "powers": {"p_tx_w": 80.0, "p_uav_w": 1.0, "p_msi_w": 80.0},
+    "sources": [{"x_m": 100.0, "y_m": 50.0, "p_w": 2.0}],
+}
+FIELDS = {
+    "deterministic": {"power_w": 1.0, "altitude_m": 100.0},
+    "beta": {"alpha": 3.0, "beta": 1.0, "i_max_w": 1.0, "altitude_m": 100.0},
+    "beta_knots": {"x_m": [0.0, 1000.0], "alpha": [2.0, 4.0],
+                   "beta": [1.0, 1.0], "i_max_w": 1.0, "altitude_m": 100.0},
+    "tabulated_upsilon": {"x_m": [0.0, 1000.0], "upsilon": [2.0, 4.0],
+                          "altitude_m": 100.0},
+}
+DROP = object()
+
+#: name -> (field variant or None, path to a mapping or list, key (None: the
+#: mapping's last key), new value or DROP).
+SCHEMA_FAULTS = {
+    "no-geometry-section": (None, (), "geometry", DROP),
+    "powers-not-a-mapping": (None, (), "powers", [80.0, 1.0, 80.0]),
+    "sources-not-a-list": (None, (), "sources", {"x_m": 1.0}),
+    "source-not-a-mapping": (None, ("sources",), 0, 5.0),
+    "field-not-a-mapping": ("beta", (), "interference_field", "beta"),
+    "field-without-variant": ("beta", ("interference_field",), "variant",
+                              DROP),
+    "unknown-variant": ("beta", ("interference_field",), "variant",
+                        "gaussian"),
+    "bool-for-number": (None, ("geometry",), "d_m", True),
+    "string-for-number": (None, ("powers",), "p_tx_w", "80 W"),
+    "string-for-source-number": (None, ("sources", 0), "x_m", "east"),
+    "bool-for-field-number": ("beta", ("interference_field",), "alpha", True),
+    "scalar-for-list": ("tabulated_upsilon", ("interference_field",), "x_m",
+                        500.0),
+    "empty-list": ("beta_knots", ("interference_field",), "beta", []),
+    "string-in-list": ("beta_knots", ("interference_field",), "alpha",
+                       [2.0, "4"]),
+    "unequal-knots": ("tabulated_upsilon", ("interference_field",),
+                      "upsilon", [2.0, 3.0, 4.0]),
+}
+for _name, _variant, _path in [
+        ("channel", None, ("channel",)), ("geometry", None, ("geometry",)),
+        ("powers", None, ("powers",)), ("source", None, ("sources", 0)),
+        *[(v, v, ("interference_field",)) for v in FIELDS]]:
+    SCHEMA_FAULTS[f"{_name}-unknown-key"] = (_variant, _path, "extra_m", 1.0)
+    SCHEMA_FAULTS[f"{_name}-missing-key"] = (_variant, _path, None, DROP)
+
+
+def write_fault(path, variant, where, key, value):
+    """Write BASE_DOC, with a field of `variant`, after setting `key` (None:
+    the last key) of the mapping or list at path `where` to `value`."""
+    doc = copy.deepcopy(BASE_DOC)
+    if variant:
+        doc["interference_field"] = {"variant": variant, **FIELDS[variant]}
+    target = doc
+    for step in where:
+        target = target[step]
+    key = list(target)[-1] if key is None else key
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    return path
+
+
+def assert_schema_error(runner, path, out):
+    with pytest.raises(SchemaError):
+        parse_scenario(str(path))
+    result = runner.invoke(main, ["dualhop-opt", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_FAULTS))
+def test_schema_faults_exit_2(runner, tmp_path, case):
+    """Each malformed section, source entry and field variant is a schema
+    error, and the CLI exits 2 on it without a traceback."""
+    path = write_fault(tmp_path / "s.yaml", *SCHEMA_FAULTS[case])
+    assert_schema_error(runner, path, tmp_path / "o")
+
+
+@pytest.mark.parametrize("fault", [
+    (None, (), 7, 1.0), (None, ("geometry",), 1, 5.0),
+    ("beta", ("interference_field",), "variant", ["beta"])],
+    ids=["integer-top-level-key", "integer-geometry-key", "list-variant"])
+def test_keys_and_variants_of_any_type_are_schema_errors(runner, tmp_path,
+                                                         fault):
+    path = write_fault(tmp_path / "s.yaml", *fault)
+    assert_schema_error(runner, path, tmp_path / "o")
+
+
+def upsilon_scenario(tmp_path, knots):
+    return write_scenario_yaml(
+        tmp_path / "s.yaml",
+        extra="interference_field:\n  variant: tabulated_upsilon\n"
+              f"  x_m: [0.0, 1000.0]\n  upsilon: {knots}\n"
+              "  altitude_m: 100.0")
+
+
+@pytest.mark.parametrize("knots", ["[0.0, 4.0]", "[-1.0, 4.0]", "[2.0, .inf]",
+                                   "[2.0, .nan]"])
+def test_tabulated_upsilon_knots_must_be_positive_and_finite(tmp_path, knots):
+    with pytest.raises(SchemaError, match="upsilon"):
+        parse_scenario(str(upsilon_scenario(tmp_path, knots)))
+
+
+@pytest.mark.parametrize("args", [
+    ["stochastic-design", "--gamma", "1e-7", "--h", "20"],
+    ["oracle-exhaustive", "--kind", "stochastic", "--gamma", "1e-7",
+     "--h", "20"],
+    ["stochastic-single", "--h", "20"]])
+def test_zero_upsilon_knot_exits_2(runner, tmp_path, args):
+    path = upsilon_scenario(tmp_path, "[0.0, 4.0]")
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def test_readme_scenario_parses(tmp_path):
+    """The README's scenario block parses, and so does each field example
+    put in place of its interference_field."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    first, *fields = re.findall(r"```yaml\n(.*?)```", readme.read_text(),
+                                re.S)
+    path = tmp_path / "s.yaml"
+    path.write_text(first)
+    s, sources, model = parse_scenario(str(path))
+    assert (s.distance_tx_rx, s.d_min, len(sources)) == (1000.0, 4.0, 1)
+    assert isinstance(model, BetaField)
+    assert fields
+    for text in fields:
+        path.write_text(first.split("interference_field:")[0] + text)
+        _, _, model = parse_scenario(str(path))
+        assert model.upsilon_at(500.0) > 0.0
 
 
 def test_gamma_flag_parsing():
@@ -551,6 +696,32 @@ def test_readme_commands_use_registered_options():
             taken = {opt for p in sub.params for opt in p.opts}
             assert set(flags) - {"--param", "--zip", "--out"} <= taken, line
     assert sorted(names) == sorted(main.commands)
+
+
+def test_sweep_applies_a_points_axes_together(runner, scenario_file,
+                                              tmp_path):
+    """A point's scenario axes are set at once, so their order cannot make
+    a valid point invalid; a point invalid after all of them still exits 2
+    before the first point runs."""
+    axes = ["geometry.h_max_m=600", "geometry.h_min_m=500"]
+    rows = []
+    for i, order in enumerate((axes, axes[::-1])):
+        out = tmp_path / f"sw{i}"
+        doc = run_ok(runner, ["sweep", str(scenario_file), "dualhop-opt",
+                              "--zip", "--param", order[0],
+                              "--param", order[1], "--out", str(out)])
+        assert doc["outputs"] == {"ok": 1, "failed": 0}
+        rows.append({k: v for k, v in read_csv(f"{out}.csv")[0].items()
+                     if k != "index"})
+    assert rows[0] == rows[1]
+    assert 500.0 <= float(rows[0]["h_m"]) <= 600.0
+    result = runner.invoke(main, [
+        "sweep", str(scenario_file), "dualhop-opt",
+        "--param", "geometry.h_min_m=10:500:2",
+        "--param", "geometry.h_max_m=450", "--out", str(tmp_path / "bad")])
+    assert result.exit_code == 2, result.output
+    assert "need h_min <= h_max" in result.output
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_sweep_continues_past_infeasible_points(runner, scenario_file,

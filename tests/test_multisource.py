@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from uavrelay.errors import DomainError
@@ -37,6 +38,21 @@ def test_total_interference_inverse_square():
     near = total_interference([src], 10.0, 0.0, 10.0, 1.0)
     far = total_interference([src], 20.0, 0.0, 20.0, 1.0)
     assert near == pytest.approx(4.0 * far, rel=1e-12)
+
+
+def test_total_interference_broadcasts_over_x_and_h():
+    sources = [InterferenceSource(100.0, 50.0, 2.0),
+               InterferenceSource(400.0, 10.0, 3.0)]
+    xs, hs = np.array([0.0, 250.0, 900.0]), np.array([5.0, 30.0])
+    grid = total_interference(sources, xs[:, None], 0.0, hs[None, :], 7.0)
+    assert grid.shape == (3, 2)
+    for i, x in enumerate(xs):
+        for j, h in enumerate(hs):
+            assert grid[i, j] == pytest.approx(
+                total_interference(sources, float(x), 0.0, float(h), 7.0),
+                rel=1e-14)
+    with pytest.raises(DomainError):
+        total_interference(sources, xs, 0.0, np.array([5.0, 0.0, 1.0]), 7.0)
 
 
 def test_fit_single_source_identity(channel):
