@@ -60,10 +60,9 @@ def total_interference(sources: Sequence[InterferenceSource],
     source offsets use the source's own y coordinate, not the query's.  x and
     h may be floats or numpy arrays that broadcast together.
     """
-    if np.any(h <= 0.0):
-        raise DomainError("h must be > 0")
-    if eta <= 0.0:
-        raise DomainError("eta must be > 0")
+    if not np.all((h > 0.0) & np.isfinite(h)):
+        raise DomainError("h must be finite and > 0")
+    require_positive("eta", eta)
     return sum(src.power / eta / ((x - src.x) ** 2 + src.y ** 2 + h ** 2)
                for src in sources)
 
@@ -108,19 +107,32 @@ def fit_hypothetical_msi(sources: Sequence[InterferenceSource], s: Scenario,
     xx = xg[:, None]
     hh = hg[None, :]
     target = total_interference(sources, xx, 0.0, hh, 1.0)
+    hh2 = hh ** 2
     cell = dx * dh
     p_total = sum(src.power for src in sources)
+    buf = np.empty_like(target)
+
+    def mismatch(denom: np.ndarray, p_h: float) -> float:
+        # Works in buf, with no temporaries; denom may be buf itself.
+        np.divide(p_h, denom, out=buf)
+        np.subtract(buf, target, out=buf)
+        np.abs(buf, out=buf)
+        return float(buf.sum() * cell)
 
     def objective(x_h: float, y_h: float, p_h: float) -> float:
-        cand = p_h / ((xx - x_h) ** 2 + y_h ** 2 + hh ** 2)
-        return float(np.abs(cand - target).sum() * cell)
+        np.add((xx - x_h) ** 2 + y_h ** 2, hh2, out=buf)
+        return mismatch(buf, p_h)
 
     def best_power(x_h: float, y_h: float) -> tuple[float, float]:
+        # Only p varies in the golden section: build the distances once.
+        denom = (xx - x_h) ** 2 + y_h ** 2 + hh2
         lo, hi = p_total * 1e-6, p_total * 4.0
-        p = _golden_min(lambda q: objective(x_h, y_h, q), lo, hi)
-        return p, objective(x_h, y_h, p)
+        p = _golden_min(lambda q: mismatch(denom, q), lo, hi)
+        return p, mismatch(denom, p)
 
-    y_span = 2.0 * max(src.y for src in sources)
+    # The field depends on y_h only through y_h^2: search y_h >= 0 out to
+    # twice the farthest source on either side of the axis.
+    y_span = 2.0 * max(abs(src.y) for src in sources)
     xs = np.linspace(0.0, D, SEED_GRID)
     ys = np.linspace(0.0, max(y_span, 1e-9), SEED_GRID)
     best = None
