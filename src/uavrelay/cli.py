@@ -468,7 +468,11 @@ def _parse_grid(text: str) -> tuple[int, int]:
          click.Option(["--grid"], default="128x32", show_default=True,
                       help="Objective grid as NXxNH."))
 def msi_fit(s, sources, model, grid):
-    """Fit one hypothetical interferer to the scenario's source list."""
+    """Fit one hypothetical interferer to the scenario's source list.
+
+    The fitted x_h stays in [0, D], so a lone source beyond the Tx-Rx span
+    is not recovered.
+    """
     if not sources:
         raise SchemaError("msi-fit needs a 'sources' section")
     nx, nh = _parse_grid(grid)

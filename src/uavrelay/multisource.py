@@ -60,6 +60,8 @@ def total_interference(sources: Sequence[InterferenceSource],
     source offsets use the source's own y coordinate, not the query's.  x and
     h may be floats or numpy arrays that broadcast together.
     """
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x must be finite")
     if not np.all((h > 0.0) & np.isfinite(h)):
         raise DomainError("h must be finite and > 0")
     require_positive("eta", eta)
@@ -85,6 +87,30 @@ def _golden_min(f, lo: float, hi: float, iters: int = GOLDEN_ITERS) -> float:
     return (a + b) / 2.0
 
 
+def _power_floors(denom: np.ndarray, target: np.ndarray, cell: float,
+                  lo: float, hi: float) -> np.ndarray:
+    """Lower bounds on the power search's value, one per candidate denominator.
+
+    For fixed denominators den_i (the leading axis of `denom` runs over
+    candidates), cell * sum_i |p/den_i - t_i| is convex and piecewise linear
+    in p.  Its minimum over [lo, hi] lies at the weighted median of t_i*den_i
+    with weights 1/den_i, clipped to [lo, hi].  The value there, less 1e-9 of
+    the field mass cell * sum_i (hi/den_i + t_i), bounds what the golden
+    section can return from below, rounding included.
+    """
+    den = denom.reshape(len(denom), -1)
+    t = target.reshape(-1)
+    knots = t * den
+    rank = np.argsort(knots, axis=1)
+    weight = np.cumsum(np.take_along_axis(1.0 / den, rank, axis=1), axis=1)
+    median = (weight < 0.5 * weight[:, -1:]).sum(axis=1)
+    rows = np.arange(len(den))
+    p = np.clip(knots[rows, rank[rows, median]], lo, hi)[:, None]
+    value = np.abs(p / den - t).sum(axis=1) * cell
+    mass = (hi / den + t).sum(axis=1) * cell
+    return value - 1e-9 * mass
+
+
 def fit_hypothetical_msi(sources: Sequence[InterferenceSource], s: Scenario,
                          grid: tuple[int, int] = (128, 32)) -> HypotheticalMsi:
     """Fit one source minimizing the discretized L1 mismatch over the region.
@@ -93,6 +119,10 @@ def fit_hypothetical_msi(sources: Sequence[InterferenceSource], s: Scenario,
     the aggregate over a midpoint grid of [0, D] x [h_min, h_max].  Seeds a
     16x16 grid of (x_h, y_h), closes p_h by golden section per seed, then
     runs coordinate descent until the relative improvement drops below 1e-6.
+    The exact power step (a weighted median) gives each seed a lower bound
+    and prunes the seeds that cannot win, so the golden section runs on few
+    seeds and the answer equals the full scan's.  x_h stays in [0, D]: a
+    lone source beyond the Tx-Rx span is not recovered.
     """
     if not sources:
         raise DomainError("need at least one interference source")
@@ -110,6 +140,7 @@ def fit_hypothetical_msi(sources: Sequence[InterferenceSource], s: Scenario,
     hh2 = hh ** 2
     cell = dx * dh
     p_total = sum(src.power for src in sources)
+    lo, hi = p_total * 1e-6, p_total * 4.0
     buf = np.empty_like(target)
 
     def mismatch(denom: np.ndarray, p_h: float) -> float:
@@ -126,7 +157,6 @@ def fit_hypothetical_msi(sources: Sequence[InterferenceSource], s: Scenario,
     def best_power(x_h: float, y_h: float) -> tuple[float, float]:
         # Only p varies in the golden section: build the distances once.
         denom = (xx - x_h) ** 2 + y_h ** 2 + hh2
-        lo, hi = p_total * 1e-6, p_total * 4.0
         p = _golden_min(lambda q: mismatch(denom, q), lo, hi)
         return p, mismatch(denom, p)
 
@@ -135,13 +165,25 @@ def fit_hypothetical_msi(sources: Sequence[InterferenceSource], s: Scenario,
     y_span = 2.0 * max(abs(src.y) for src in sources)
     xs = np.linspace(0.0, D, SEED_GRID)
     ys = np.linspace(0.0, max(y_span, 1e-9), SEED_GRID)
+    seeds = [(float(x0), float(y0)) for x0 in xs for y0 in ys]
+    # Every seed's golden-section value is at least its floor, so run the
+    # seeds in order of floor and stop once the next floor is above the best
+    # value found: the winner is the ordered scan's, the first seed of least
+    # value.  A field too large for finite floors runs every seed in order.
+    ys2 = np.float_power(ys, 2.0)[:, None, None]
+    floor = np.concatenate([
+        _power_floors((xx - x0) ** 2 + ys2 + hh2, target, cell, lo, hi)
+        for x0 in xs])
+    if not np.isfinite(floor).all():
+        floor[:] = -np.inf
     best = None
-    for x0 in xs:
-        for y0 in ys:
-            p0, val = best_power(float(x0), float(y0))
-            if best is None or val < best[3]:
-                best = [float(x0), float(y0), p0, val]
-    x_h, y_h, p_h, val = best
+    for k in np.argsort(floor, kind="stable"):
+        if best is not None and floor[k] > best[3]:
+            break
+        p0, val = best_power(*seeds[k])
+        if best is None or val < best[3] or (val == best[3] and k < best[4]):
+            best = [*seeds[k], p0, val, k]
+    x_h, y_h, p_h, val, _ = best
 
     # Coordinate descent: golden section on each coordinate in turn.
     span_x = D / SEED_GRID

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavrelay.errors import DomainError
 from uavrelay.multisource import (HypotheticalMsi, InterferenceSource,
+                                  _golden_min, _power_floors,
                                   fit_hypothetical_msi, total_interference)
 
 from conftest import make_scenario
@@ -63,6 +65,15 @@ def test_total_interference_rejects_bad_h_and_eta(h, eta):
     src = InterferenceSource(100.0, 50.0, 2.0)
     with pytest.raises(DomainError):
         total_interference([src], 250.0, 0.0, h, eta)
+
+
+@pytest.mark.parametrize("x", [
+    math.nan, math.inf, -math.inf, np.array([250.0, math.nan]),
+    np.array([math.inf, 250.0]), np.array([[-math.inf], [250.0]])])
+def test_total_interference_rejects_non_finite_x(x):
+    src = InterferenceSource(100.0, 50.0, 2.0)
+    with pytest.raises(DomainError):
+        total_interference([src], x, 0.0, 30.0, 1.0)
 
 
 def test_fit_single_source_identity(channel):
@@ -190,11 +201,48 @@ def _fit_reference(sources, s, grid):
     ([(100.0, 40.0, 1.0), (350.0, 150.0, 4.0), (600.0, 60.0, 2.0),
       (900.0, 200.0, 8.0)], (20.0, 300.0), (9, 3)),
     ([(250.0, 0.0, 3.0), (700.0, 90.0, 1.0)], (50.0, 50.0), (7, 3)),
-    ([(400.0, 0.0, 2.0)], (10.0, 200.0), (5, 3))])
+    ([(400.0, 0.0, 2.0)], (10.0, 200.0), (5, 3)),
+    # The pruned seed search must pick the ordered scan's winner: seeds 14
+    # and 254 tie exactly here and 14 wins; on the 1x1 grid 86 seeds tie at
+    # residual 0.  A third h_band entry is the Tx-Rx distance D.
+    ([(0.0, 80.0, 2.0), (600.0, 80.0, 2.0)], (5.0, 400.0, 600.0), (4, 2)),
+    ([(300.0, 100.0, 3.0)], (5.0, 400.0, 600.0), (1, 1)),
+    # Above 128 cells numpy's sums recurse pairwise.
+    ([(200.0, 50.0, 2.0), (450.0, 120.0, 5.0), (800.0, 80.0, 1.0)],
+     (5.0, 400.0), (24, 8))])
 def test_fit_matches_reference_bit_for_bit(channel, sources, h_band, grid):
-    s = make_scenario(channel, msi_y=100.0, h_min=h_band[0], h_max=h_band[1])
+    s = make_scenario(channel, msi_y=100.0,
+                      **dict(zip(("h_min", "h_max", "d"), h_band)))
     srcs = [InterferenceSource(*src) for src in sources]
     assert fit_hypothetical_msi(srcs, s, grid) == _fit_reference(srcs, s, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-300.0, 900.0), st.floats(-200.0, 200.0),
+                          st.floats(0.1, 20.0)), min_size=1, max_size=4),
+       st.integers(1, 12), st.integers(1, 5), st.floats(1.0, 100.0),
+       st.floats(0.0, 300.0), st.floats(0.0, 1000.0), st.floats(0.0, 400.0))
+def test_golden_power_search_never_beats_its_floor(sources, nx, nh, h_lo,
+                                                   h_span, x0, y0):
+    # The seed pruning rests on this: for every candidate (x0, y0), the
+    # power search's golden-section value is at least the floor it is
+    # pruned by.  The field is built as in fit_hypothetical_msi.
+    srcs = [InterferenceSource(*src) for src in sources]
+    dx, dh = 600.0 / nx, (h_span / nh if h_span > 0.0 else 1.0)
+    xx = ((np.arange(nx) + 0.5) * dx)[:, None]
+    hh = (h_lo + (np.arange(nh) + 0.5) * dh)[None, :]
+    target = total_interference(srcs, xx, 0.0, hh, 1.0)
+    cell = dx * dh
+    p_total = sum(src.power for src in srcs)
+    lo, hi = p_total * 1e-6, p_total * 4.0
+    denom = (xx - x0) ** 2 + y0 ** 2 + hh ** 2
+
+    def mismatch(p):
+        return float(np.abs(p / denom - target).sum() * cell)
+
+    golden = mismatch(_golden_min(mismatch, lo, hi))
+    [floor] = _power_floors(denom[None], target, cell, lo, hi)
+    assert golden >= floor
 
 
 def test_fit_needs_sources(channel):
