@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Compare the planners' answers of two source trees, answer by answer.
+
+    python3 scripts/compare_answers.py TREE_A TREE_B [--planner refine_altitudes] [--draws N]
+
+Each tree runs the same fixed corpus in its own Python process, with
+PYTHONPATH set to the tree's `src`.  The `repr` of every answer, and of
+every error a planner raises, is diffed between the two trees; the script
+prints the counts and exits 1 when any answer differs.  It is the check
+behind a claim that a change keeps the planners' answers bit for bit.
+
+The `refine_altitudes` corpus holds the 30 refinements of the benchmark's
+`fleets_and_fields` workload (seeds 1501-1510, n = 20, 35, 50), a chain
+whose first hop is -0.0, and random draws.  The draws have 1 to 12 UAVs,
+eps_h in {0, 1, 10, 50}, d_min > 0 on a third of them, h_min = h_max on a
+tenth, start altitudes outside the band on a tenth, and starts both
+uniform and from `distributed_max_sir`.  `--draws N` takes at most N
+answers from each part of the corpus.
+"""
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+BENCH_SEEDS = range(1501, 1511)
+DEFAULT_DRAWS = 300
+
+
+def refine_corpus(draws: int):
+    """(label, thunk) pairs; each thunk runs one refinement."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+    from tracer import Tracer
+    from uavrelay.channel import ChannelParams, Scenario
+    from uavrelay.multihop import (Placement, distributed_max_sir,
+                                   feasibility_bound, refine_altitudes)
+
+    tracer = Tracer(False)
+    bench = []
+    for seed in BENCH_SEEDS:
+        if len(bench) >= draws:
+            break
+        ops = [op for op in workloads.multihop_fleet(seed) if op.kind == "refine"]
+        bench += [(f"benchmark seed {seed} refinement {k}",
+                   lambda op=op: op.run(tracer)) for k, op in enumerate(ops)]
+    yield from bench[:draws]
+
+    ch = ChannelParams.from_carrier(2.0e9, 10 ** 0.01, 10 ** 2.1)
+
+    def signed_zero():
+        # distributed_max_sir puts this chain's only UAV at d_1 = -0.0, and
+        # the refinement keeps the -0.0 while it lowers the UAV.
+        s = Scenario(537.8358098432572, 165.4427943144502, 187.07088954706174,
+                     0.10284466462852018, 0.06058150978382607,
+                     1.6777981588491357, 15.865627163491967,
+                     194.15133747824385, ch)
+        _, start, _ = distributed_max_sir(s, 150.16280590224451, 1, 0.05)
+        return start, refine_altitudes(s, start, 10.0, 2, 1)
+
+    yield "signed-zero first hop", signed_zero
+
+    def draw(k: int):
+        rng = random.Random(k)
+        n = rng.randint(1, 12)
+        d = rng.uniform(50.0, 2000.0)
+        h_min = rng.uniform(1.0, 20.0)
+        h_max = h_min if rng.random() < 0.1 else rng.uniform(40.0, 500.0)
+        d_min = rng.uniform(0.1, 1.0) * d / (n + 1) if rng.random() < 1 / 3 else 0.0
+        s = Scenario(d, rng.uniform(0.0, d), rng.uniform(0.0, d),
+                     10.0 ** rng.uniform(-1.5, 1.5), 10.0 ** rng.uniform(-1.5, 1.5),
+                     10.0 ** rng.uniform(-1.5, 1.5), h_min, h_max, ch, d_min)
+        h = rng.uniform(h_min, h_max)
+        eps_h = rng.choice((0.0, 1.0, 10.0, 50.0))
+        iterations, passes = rng.choice((1, 2)), rng.choice((1, 3))
+        if rng.random() < 0.5:
+            _, start, _ = distributed_max_sir(
+                s, h, n, feasibility_bound(s, h) / rng.choice((20, 200)))
+        else:
+            start = Placement.uniform([d / (n + 1)] * (n + 1), h)
+        if rng.random() < 0.1:
+            alts = list(start.altitudes)
+            alts[rng.randrange(n)] = h_max + rng.uniform(1.0, 2.0 * eps_h + 1.0)
+            start = Placement(start.hop_distances, tuple(alts))
+        return start, refine_altitudes(s, start, eps_h, iterations, passes)
+
+    for k in range(draws):
+        yield f"random draw {k}", lambda k=k: draw(k)
+
+
+CORPORA = {"refine_altitudes": refine_corpus}
+
+
+def emit(planner: str, draws: int) -> None:
+    """Child side: one JSON line [label, repr] per answer or raised error."""
+    for label, thunk in CORPORA[planner](draws):
+        try:
+            answer = repr(thunk())
+        except Exception as exc:  # an error is an answer to compare
+            answer = f"raised {exc!r}"
+        print(json.dumps([label, answer]), flush=True)
+
+
+def answers(tree: Path, planner: str, draws: int) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    return subprocess.Popen(
+        [sys.executable, __file__, "--emit", planner, str(draws)],
+        env=env, stdout=subprocess.PIPE, text=True)
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--emit"]:
+        emit(sys.argv[2], int(sys.argv[3]))
+        return 0
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--planner", choices=sorted(CORPORA),
+                        default="refine_altitudes")
+    parser.add_argument("--draws", type=int, default=DEFAULT_DRAWS)
+    args = parser.parse_args()
+    children = [answers(tree, args.planner, args.draws)
+                for tree in (args.tree_a, args.tree_b)]
+    sides = []
+    for child, tree in zip(children, (args.tree_a, args.tree_b)):
+        out, _ = child.communicate()
+        if child.returncode != 0:
+            print(f"{tree}: the corpus run exited {child.returncode}")
+            return 2
+        sides.append([json.loads(line) for line in out.splitlines()])
+    a, b = sides
+    if [label for label, _ in a] != [label for label, _ in b]:
+        print("the two trees ran different corpora")
+        return 2
+    differ = [label for (label, x), (_, y) in zip(a, b) if x != y]
+    raised = sum(answer.startswith("raised ") for _, answer in a)
+    for label in differ:
+        print(f"differs: {label}")
+    print(f"{args.planner}: {len(a)} answers ({raised} raised errors), "
+          f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -519,64 +519,114 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
     raise InfeasibleError("no target SIR closed the chain; span not coverable")
 
 
+#: The ramps np.arange(n) of the two refinement axes, scaled by `_zoom_axis`.
+_RAMP_X = np.arange(REFINE_GRID_X, dtype=float)
+_RAMP_H = np.arange(REFINE_GRID_H, dtype=float)
+
+
+def _zoom_axis(ramp: np.ndarray, lo: float, hi: float,
+               v: float) -> tuple[np.ndarray, int]:
+    """A zoom axis and the index of c = np.clip(v, lo, hi) in it.
+
+    The axis is np.unique(np.append(np.linspace(lo, hi, n), c)), bit for
+    bit, where ramp is np.arange(n, dtype=float) with n >= 2.  The grid is
+    np.linspace's own arithmetic on the ramp, and c goes in by bisection
+    unless it equals a grid point.  np.unique itself runs where that could
+    differ from it: on a grid that is not strictly increasing (lo >= hi, or
+    steps below one ulp of lo), and for c = 0, where np.unique may keep a
+    -0.0 in place of the grid's +0.0.
+    """
+    div = len(ramp) - 1
+    delta = hi - lo
+    step = delta / div
+    grid = (ramp / div) * delta if step == 0.0 else ramp * step
+    grid += lo
+    grid[-1] = hi
+    c = lo if v < lo else hi if v > hi else v  # np.clip, unless lo > hi
+    if c == 0.0 or not (grid[1:] > grid[:-1]).all():
+        c = np.clip(v, lo, hi)
+        axis = np.unique(np.append(grid, c))
+        return axis, int(axis.searchsorted(c))
+    k = int(grid.searchsorted(c))
+    if k <= div and grid[k] == c:
+        return grid, k
+    axis = np.empty(div + 2)
+    axis[:k] = grid[:k]
+    axis[k] = c
+    axis[k + 1:] = grid[k:]
+    return axis, k
+
+
 def _explore_rectangle(s: Scenario, hops: list[float], alts: list[float],
                        i: int, eps_h: float) -> tuple[float, float, float, float]:
     """Best admissible (d, h) for UAV i inside its exploration rectangle.
 
     The rectangle spans the gap between the two neighbors horizontally and
     +-eps_h vertically; successive zoom passes re-grid around the incumbent
-    so accepted moves are not limited by the coarse resolution.  Returns
-    (d, h, its local SIR, the local SIR where UAV i stands now); the local
-    SIR is the min of the two links around UAV i.
+    so accepted moves are not limited by the coarse resolution.  Each zoom
+    level's grid is, per axis, np.unique(linspace U {incumbent}), built by
+    `_zoom_axis` without np.unique; each grid point is evaluated once.
+    Returns (d, h, its local SIR, the local SIR where UAV i stands now); the
+    local SIR is the min of the two links around UAV i.
     """
-    nx, nh = REFINE_GRID_X, REFINE_GRID_H
     n = len(alts)
     gap = hops[i] + hops[i + 1]
     prev_pos = sum(hops[:i])
     h_lo0 = max(s.h_min, alts[i] - eps_h)
     h_hi0 = min(s.h_max, alts[i] + eps_h)
     # Safe-guard: keep 3-D separation to both neighbors >= d_min
-    # (ground nodes sit at altitude 0).
+    # (ground nodes sit at altitude 0).  With d_min = 0 every point passes.
     h_prev = alts[i - 1] if i > 0 else 0.0
     h_next = alts[i + 1] if i < n - 1 else 0.0
+    guard = s.d_min > 0.0
 
-    def local_sir(d: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def local_sir(d: np.ndarray, h: np.ndarray):
         # d: first-hop lengths on [0, gap] (the second hop closes the gap),
-        # h: altitudes; the result broadcasts to (len(d), len(h)).
+        # h: altitudes.  Returns the local SIR on (len(d), len(h)) and the
+        # mask of the points that keep d_min to both neighbors (None when
+        # d_min = 0); each squared separation serves both.
         dd = d[:, None]
         hh = h[None, :]
         pos = prev_pos + dd
+        d_next = gap - dd
+        if i > 0 or guard:
+            in_sq = dd ** 2 + (hh - h_prev) ** 2
+        if i < n - 1 or guard:
+            out_sq = d_next ** 2 + (hh - h_next) ** 2
         if i == 0:
             sir_in = sir_tx_link(s, dd, hh)
         else:
-            sir_in = sir_air_link(
-                s, pos, np.maximum(dd ** 2 + (hh - h_prev) ** 2, 1e-300), hh)
-        d_next = gap - dd
+            sir_in = sir_air_link(s, pos, np.maximum(in_sq, 1e-300), hh)
         if i == n - 1:
             sir_out = sir_rx_link(s, d_next, hh)
         else:
             sir_out = sir_air_link(
-                s, pos + d_next,
-                np.maximum(d_next ** 2 + (hh - h_next) ** 2, 1e-300), h_next)
-        return np.minimum(sir_in, sir_out)
+                s, pos + d_next, np.maximum(out_sq, 1e-300), h_next)
+        ok = None
+        if guard:
+            ok = (in_sq >= s.d_min ** 2) & (out_sq >= s.d_min ** 2)
+        return np.minimum(sir_in, sir_out), ok
 
-    current = float(local_sir(np.array([hops[i]]), np.array([alts[i]]))[0, 0])
+    current = None
     d_lo, d_hi, h_lo, h_hi = 0.0, gap, h_lo0, h_hi0
-    best = (hops[i], alts[i], -math.inf)
     for _ in range(REFINE_ZOOMS):
-        d_cand = np.unique(np.append(np.linspace(d_lo, d_hi, nx),
-                                     np.clip(hops[i], d_lo, d_hi)))
-        h_cand = np.unique(np.append(np.linspace(h_lo, h_hi, nh),
-                                     np.clip(alts[i], h_lo, h_hi)))
-        dd = d_cand[:, None]
-        hh = h_cand[None, :]
-        ok = ((dd ** 2 + (hh - h_prev) ** 2 >= s.d_min ** 2)
-              & ((gap - dd) ** 2 + (hh - h_next) ** 2 >= s.d_min ** 2))
-        local = np.where(ok, local_sir(d_cand, h_cand), -np.inf)
-        bi, bj = np.unravel_index(int(np.argmax(local)), local.shape)
+        d_cand, kd = _zoom_axis(_RAMP_X, d_lo, d_hi, hops[i])
+        h_cand, kh = _zoom_axis(_RAMP_H, h_lo, h_hi, alts[i])
+        local, ok = local_sir(d_cand, h_cand)
+        if current is None:
+            # UAV i's own point is on the first grid unless it stands
+            # outside the rectangle (an altitude outside the band).
+            if d_cand[kd] == hops[i] and h_cand[kh] == alts[i]:
+                current = float(local[kd, kh])
+            else:
+                current = float(local_sir(np.array([hops[i]]),
+                                          np.array([alts[i]]))[0][0, 0])
+        if ok is not None:
+            local = np.where(ok, local, -np.inf)
+        bi, bj = divmod(int(local.argmax()), len(h_cand))
         best = (float(d_cand[bi]), float(h_cand[bj]), float(local[bi, bj]))
-        step_d = (d_hi - d_lo) / (nx - 1)
-        step_h = (h_hi - h_lo) / (nh - 1)
+        step_d = (d_hi - d_lo) / (REFINE_GRID_X - 1)
+        step_h = (h_hi - h_lo) / (REFINE_GRID_H - 1)
         d_lo, d_hi = max(0.0, best[0] - step_d), min(gap, best[0] + step_d)
         h_lo = max(h_lo0, best[1] - step_h)
         h_hi = min(h_hi0, best[1] + step_h)

@@ -58,15 +58,21 @@ def total_interference(sources: Sequence[InterferenceSource],
 
     Each source contributes p_i / eta / ((x - x_i)^2 + y_i^2 + h^2); the
     source offsets use the source's own y coordinate, not the query's.  x and
-    h may be floats or numpy arrays that broadcast together.
+    h may be floats or numpy arrays that broadcast together.  A square that
+    overflows a Python float (a source's y, or a float x or h, beyond about
+    1.3e154 m) raises DomainError.
     """
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
     if not np.all((h > 0.0) & np.isfinite(h)):
         raise DomainError("h must be finite and > 0")
     require_positive("eta", eta)
-    return sum(src.power / eta / ((x - src.x) ** 2 + src.y ** 2 + h ** 2)
-               for src in sources)
+    try:
+        return sum(src.power / eta / ((x - src.x) ** 2 + src.y ** 2 + h ** 2)
+                   for src in sources)
+    except OverflowError:
+        raise DomainError(
+            "a squared source offset or altitude overflows a float") from None
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = GOLDEN_ITERS) -> float:

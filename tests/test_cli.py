@@ -471,6 +471,17 @@ def test_refine_eps_h_nan_exits_2(runner, scenario_file):
     assert "Traceback" not in result.output
 
 
+
+def test_msi_fit_source_far_off_the_axis_exits_2(runner, tmp_path):
+    path = write_scenario_yaml(
+        tmp_path / "s.yaml",
+        extra="sources:\n  - {x_m: 1.0, y_m: 1.0e+200, p_w: 1.0}")
+    result = runner.invoke(main, ["msi-fit", str(path)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert "overflows" in result.output
+    assert "Traceback" not in result.output
+
 def test_multihop_design(runner, scenario_file, tmp_path):
     out = tmp_path / "design"
     doc = run_ok(runner, ["multihop-design", str(scenario_file),

@@ -5,11 +5,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import uavrelay.multihop as multihop
-from uavrelay.channel import (Scenario, multihop_link_sirs, sir_rx_link,
-                              sir_tx_link)
+from uavrelay.channel import (Scenario, multihop_link_sirs, sir_air_link,
+                              sir_rx_link, sir_tx_link)
 from uavrelay.errors import DomainError, InfeasibleError, NumericError
 from uavrelay.multihop import (IterationTrace, Placement, _forward_chain,
                                _forward_rounds, design_min_uavs,
@@ -261,6 +261,176 @@ def test_refine_altitudes_validation(channel):
     with pytest.raises(DomainError):
         refine_altitudes(s, start, 10.0, -1)
 
+
+@st.composite
+def _zoom_axis_cases(draw):
+    """(n, lo, hi, v) for `_zoom_axis`: spans of every size, lo == hi,
+    lo > hi, steps below one ulp of lo, and v outside [lo, hi], on a grid
+    point or a signed zero."""
+    n = draw(st.sampled_from([33, 64]))
+    lo = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 250.0, 1e16]),
+                        st.floats(-1e6, 1e6)))
+    span = draw(st.sampled_from(["wide", "equal", "reversed", "ulps"]))
+    if span == "wide":
+        hi = lo + draw(st.floats(1e-300, 1e6))
+    elif span == "equal":
+        hi = lo
+    elif span == "reversed":
+        hi = lo - draw(st.floats(1e-9, 1e6))
+    else:
+        hi = lo + draw(st.integers(1, 3 * n)) * math.ulp(lo)
+    where = draw(st.sampled_from(["any", "below", "above", "grid", "zero"]))
+    if where == "any":
+        v = draw(st.floats(allow_nan=False))
+    elif where == "below":
+        v = min(lo, hi) - draw(st.floats(0.0, 1e6))
+    elif where == "above":
+        v = max(lo, hi) + draw(st.floats(0.0, 1e6))
+    elif where == "grid":
+        v = float(np.linspace(lo, hi, n)[draw(st.integers(0, n - 1))])
+    else:
+        v = draw(st.sampled_from([0.0, -0.0]))
+    return n, lo, hi, v
+
+
+@settings(max_examples=500, deadline=None)
+@given(_zoom_axis_cases())
+def test_zoom_axis_is_unique_of_linspace_and_incumbent(case):
+    n, lo, hi, v = case
+    clipped = np.clip(v, lo, hi)
+    want = np.unique(np.append(np.linspace(lo, hi, n), clipped))
+    axis, k = multihop._zoom_axis(np.arange(n, dtype=float), lo, hi, v)
+    assert axis.tobytes() == want.tobytes()  # signed zeros count
+    assert k == int(np.searchsorted(want, clipped)) and axis[k] == clipped
+
+
+# A verbatim copy of multihop._explore_rectangle and refine_altitudes from
+# before the zoom grids were built without np.unique, so the reference does
+# not follow a later change to them.
+def _explore_reference(s, hops, alts, i, eps_h):
+    nx, nh = 64, 33
+    n = len(alts)
+    gap = hops[i] + hops[i + 1]
+    prev_pos = sum(hops[:i])
+    h_lo0 = max(s.h_min, alts[i] - eps_h)
+    h_hi0 = min(s.h_max, alts[i] + eps_h)
+    h_prev = alts[i - 1] if i > 0 else 0.0
+    h_next = alts[i + 1] if i < n - 1 else 0.0
+
+    def local_sir(d, h):
+        dd = d[:, None]
+        hh = h[None, :]
+        pos = prev_pos + dd
+        if i == 0:
+            sir_in = sir_tx_link(s, dd, hh)
+        else:
+            sir_in = sir_air_link(
+                s, pos, np.maximum(dd ** 2 + (hh - h_prev) ** 2, 1e-300), hh)
+        d_next = gap - dd
+        if i == n - 1:
+            sir_out = sir_rx_link(s, d_next, hh)
+        else:
+            sir_out = sir_air_link(
+                s, pos + d_next,
+                np.maximum(d_next ** 2 + (hh - h_next) ** 2, 1e-300), h_next)
+        return np.minimum(sir_in, sir_out)
+
+    current = float(local_sir(np.array([hops[i]]), np.array([alts[i]]))[0, 0])
+    d_lo, d_hi, h_lo, h_hi = 0.0, gap, h_lo0, h_hi0
+    best = (hops[i], alts[i], -math.inf)
+    for _ in range(3):
+        d_cand = np.unique(np.append(np.linspace(d_lo, d_hi, nx),
+                                     np.clip(hops[i], d_lo, d_hi)))
+        h_cand = np.unique(np.append(np.linspace(h_lo, h_hi, nh),
+                                     np.clip(alts[i], h_lo, h_hi)))
+        dd = d_cand[:, None]
+        hh = h_cand[None, :]
+        ok = ((dd ** 2 + (hh - h_prev) ** 2 >= s.d_min ** 2)
+              & ((gap - dd) ** 2 + (hh - h_next) ** 2 >= s.d_min ** 2))
+        local = np.where(ok, local_sir(d_cand, h_cand), -np.inf)
+        bi, bj = np.unravel_index(int(np.argmax(local)), local.shape)
+        best = (float(d_cand[bi]), float(h_cand[bj]), float(local[bi, bj]))
+        step_d = (d_hi - d_lo) / (nx - 1)
+        step_h = (h_hi - h_lo) / (nh - 1)
+        d_lo, d_hi = max(0.0, best[0] - step_d), min(gap, best[0] + step_d)
+        h_lo = max(h_lo0, best[1] - step_h)
+        h_hi = min(h_hi0, best[1] + step_h)
+    return (*best, current)
+
+
+def _refine_reference(s, start, eps_h, iterations, passes=12):
+    hops = list(start.hop_distances)
+    alts = list(start.altitudes)
+    n = len(alts)
+    history = [min(multihop_link_sirs(s, hops, alts))]
+    for it in range(iterations):
+        for p in range(passes):
+            order = range(n) if (it * passes + p) % 2 == 0 else range(n - 1, -1, -1)
+            for i in order:
+                gap = hops[i] + hops[i + 1]
+                d_star, h_star, value, current = _explore_reference(
+                    s, hops, alts, i, eps_h)
+                if value > current:
+                    hops[i + 1] = gap - d_star
+                    hops[i] = d_star
+                    alts[i] = h_star
+        history.append(min(multihop_link_sirs(s, hops, alts)))
+    return Placement(tuple(hops), tuple(alts)), history
+
+
+def _signed_zero_start(channel):
+    """A one-UAV chain that distributed_max_sir starts at d_1 = -0.0."""
+    s = Scenario(537.8358098432572, 165.4427943144502, 187.07088954706174,
+                 0.10284466462852018, 0.06058150978382607, 1.6777981588491357,
+                 15.865627163491967, 194.15133747824385, channel)
+    _, start, _ = distributed_max_sir(s, 150.16280590224451, 1, 0.05)
+    return s, start
+
+
+#: Each case builds (scenario, start, eps_h, iterations, passes).
+REFINE_CASES = {
+    # A fleet_draw-style chain of the fleets_and_fields benchmark.
+    "benchmark chain": lambda ch: (
+        Scenario(1234.5, 812.3, 402.7, 23.1, 0.47, 61.8, 1.0, 500.0, ch),
+        Placement.uniform([1234.5 / 21] * 21, 187.4), 10.0, 1, 12),
+    # Hops near d_min = 120 m: the mask cuts into the rectangle of the
+    # first, the middle and the last UAV, and the 100 m hop starts inside it.
+    "d_min masks": lambda ch: (
+        make_scenario(ch, d=600.0, msi_y=150.0, d_min=120.0),
+        Placement.uniform([150.0, 100.0, 200.0, 150.0], 60.0), 50.0, 1, 2),
+    "one UAV": lambda ch: (
+        make_scenario(ch, msi_y=150.0),
+        Placement.uniform((350.0, 650.0), 50.0), 30.0, 2, 3),
+    "eps_h = 0": lambda ch: (
+        make_scenario(ch, msi_y=150.0),
+        Placement.uniform([250.0] * 4, 80.0), 0.0, 1, 3),
+    "h_min = h_max": lambda ch: (
+        make_scenario(ch, msi_y=150.0, h_min=80.0, h_max=80.0),
+        Placement.uniform([250.0] * 4, 80.0), 10.0, 1, 3),
+    "start above the band": lambda ch: (
+        make_scenario(ch, msi_y=150.0, h_max=100.0),
+        Placement((200.0, 300.0, 500.0), (90.0, 130.0)), 10.0, 1, 3),
+    "signed-zero start": lambda ch: (*_signed_zero_start(ch), 10.0, 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFINE_CASES))
+def test_refine_altitudes_matches_reference_bit_for_bit(channel, case):
+    s, start, eps_h, iterations, passes = REFINE_CASES[case](channel)
+    got = refine_altitudes(s, start, eps_h, iterations, passes)
+    want = _refine_reference(s, start, eps_h, iterations, passes)
+    assert got == want
+    assert repr(got) == repr(want)  # tells -0.0 from 0.0
+
+
+def test_refine_keeps_a_signed_zero_first_hop(channel):
+    s, start = _signed_zero_start(channel)
+    assert repr(start.hop_distances[0]) == "-0.0"
+    refined, history = refine_altitudes(s, start, 10.0, 2, 1)
+    # The UAV descends while it stays at -0.0: np.unique keeps the
+    # incumbent's -0.0 in place of the grid's +0.0.
+    assert repr(refined.hop_distances[0]) == "-0.0"
+    assert refined.altitudes[0] < start.altitudes[0] and history[-1] > history[0]
 
 def test_design_matches_greedy_structure_random(channel):
     """Greedy designs on random scenarios stay valid and minimal-looking."""

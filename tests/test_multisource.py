@@ -76,6 +76,14 @@ def test_total_interference_rejects_non_finite_x(x):
         total_interference([src], x, 0.0, 30.0, 1.0)
 
 
+
+@pytest.mark.parametrize("src, x, h", [
+    ((1.0, 1e200, 1.0), 0.0, 1.0), ((1.0, -1e200, 1.0), np.array([0.0, 5.0]), 1.0),
+    ((1e200, 0.0, 1.0), 0.0, 1.0), ((0.0, 0.0, 1.0), 0.0, 1e200)])
+def test_total_interference_square_overflow_is_domain_error(src, x, h):
+    with pytest.raises(DomainError, match="overflows"):
+        total_interference([InterferenceSource(*src)], x, 0.0, h, 1.0)
+
 def test_fit_single_source_identity(channel):
     s = make_scenario(channel, msi_y=100.0)
     src = InterferenceSource(317.3, 84.2, 12.5)

@@ -47,3 +47,13 @@ def test_readme_library_example(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     sir, uav_count = capsys.readouterr().out.split()
     assert float(sir) > 0.0 and int(uav_count) >= 1
+
+
+def test_compare_answers_finds_no_difference_between_a_tree_and_itself():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "compare_answers.py"),
+         str(REPO), str(REPO), "--draws", "3"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        "refine_altitudes: 7 answers (0 raised errors), 0 differ")
