@@ -1,29 +1,43 @@
 #!/usr/bin/env python3
 """Compare the planners' answers of two source trees, answer by answer.
 
-    python3 scripts/compare_answers.py TREE_A TREE_B [--planner refine_altitudes] [--draws N]
+    python3 scripts/compare_answers.py TREE_A TREE_B [--planner NAME] [--draws N]
 
 Each tree runs the same fixed corpus in its own Python process, with
 PYTHONPATH set to the tree's `src`.  The `repr` of every answer, and of
 every error a planner raises, is diffed between the two trees; the script
 prints the counts and exits 1 when any answer differs.  It is the check
 behind a claim that a change keeps the planners' answers bit for bit.
+Warnings are not answers: the corpus runs with them silenced.
 
-The `refine_altitudes` corpus holds the 30 refinements of the benchmark's
-`fleets_and_fields` workload (seeds 1501-1510, n = 20, 35, 50), a chain
-whose first hop is -0.0, and random draws.  The draws have 1 to 12 UAVs,
-eps_h in {0, 1, 10, 50}, d_min > 0 on a third of them, h_min = h_max on a
-tenth, start altitudes outside the band on a tenth, and starts both
-uniform and from `distributed_max_sir`.  `--draws N` takes at most N
-answers from each part of the corpus.
+The `refine_altitudes` corpus (the default) holds the 30 refinements of
+the benchmark's `fleets_and_fields` workload (seeds 1501-1510, n = 20, 35,
+50), a chain whose first hop is -0.0, and random draws.  The draws have 1
+to 12 UAVs, eps_h in {0, 1, 10, 50}, d_min > 0 on a third of them, h_min =
+h_max on a tenth, start altitudes outside the band on a tenth, and starts
+both uniform and from `distributed_max_sir`.
+
+The `dualhop` corpus asks the single-relay planners and their oracles
+(`optimal_position`, `_locus_argmax`, `optimal_x_fixed_h`,
+`optimal_h_fixed_x`, `locus_heights`, `grid_search_dual` and
+`lipschitz_slack`) about the 49 scenarios of the benchmark's
+`dualhop_oracle` workload, 300 conftest-style draws, 50 flat-interferer
+scenarios of criterion 01 (where the exact discriminant runs), 100 draws
+with powers near the ends of the float range, 50 centimetre spans with a
+subnormal interferer power, and the grid shapes of `DUALHOP_GRIDS`.
+
+`--draws N` takes at most N refinements or scenarios from each part of the
+corpus.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -92,11 +106,105 @@ def refine_corpus(draws: int):
         yield f"random draw {k}", lambda k=k: draw(k)
 
 
-CORPORA = {"refine_altitudes": refine_corpus}
+#: Oracle grids of the dualhop corpus's grid part: the smallest grids, the
+#: benchmark's and a larger one, a row count that no block height divides,
+#: and more columns than a block holds cells (one row per block).  The part
+#: ends with a grid whose altitude band is a single value: whole columns tie.
+DUALHOP_GRIDS = ((2, 2), (3, 7), (500, 500), (1000, 1000), (997, 311),
+                 (5, 20_011), (41, 17))
+#: The oracle grid of the other parts: small, but several row blocks.
+DUALHOP_GRID = (1000, 100)
+
+
+def dualhop_corpus(draws: int):
+    """(label, thunk) pairs; each thunk asks one single-relay question."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+    from uavrelay.channel import ChannelParams, Scenario
+    from uavrelay.dualhop import (_locus_argmax, locus_heights,
+                                  optimal_h_fixed_x, optimal_position,
+                                  optimal_x_fixed_h)
+    from uavrelay.oracle import GridSpec, grid_search_dual, lipschitz_slack
+
+    def questions(label, s, rng, grid):
+        """The planners and oracles at one scenario; rng draws the fixed
+        coordinates."""
+        h_hat = rng.uniform(s.h_min, s.h_max)
+        x_hat = rng.uniform(0.0, s.distance_tx_rx)
+        grid = GridSpec(*grid)
+        calls = (("optimal_position", optimal_position, ()),
+                 ("_locus_argmax", _locus_argmax, ()),
+                 ("optimal_x_fixed_h", optimal_x_fixed_h, (h_hat,)),
+                 ("optimal_h_fixed_x", optimal_h_fixed_x, (x_hat,)),
+                 ("locus_heights", locus_heights, (x_hat,)),
+                 ("grid_search_dual", grid_search_dual, (grid,)),
+                 ("lipschitz_slack", lipschitz_slack, (grid,)))
+        for name, f, args in calls:
+            yield f"{label}: {name}", lambda f=f, args=args: f(s, *args)
+
+    ch = workloads.readme_channel()
+    fixed, rng = random.Random(workloads.FIXED_STREAM), random.Random(BENCH_SEEDS[0])
+    bench = [Scenario(channel=ch, **workloads.FAULT_SCENARIO)]
+    bench += [workloads.conftest_scenario(fixed, ch)
+              for _ in range(workloads.DUALHOP_DRAWS)]
+    for k, s in enumerate(bench[:draws]):
+        yield from questions(f"benchmark scenario {k}", s, rng,
+                             (workloads.GRID.nx, workloads.GRID.nh))
+
+    for k in range(draws):
+        rng = random.Random(k)
+        s = workloads.conftest_scenario(rng, ch)
+        yield from questions(f"conftest draw {k}", s, rng, DUALHOP_GRID)
+
+    # Criterion 01's flat interferer: the exact discriminant fires.
+    flat = ChannelParams.from_coefficients(1.0, 1.0, eta_nlos=1.0)
+    for k in range(min(draws, 50)):
+        rng = random.Random(k)
+        d = rng.uniform(10.0, 2000.0)
+        s = Scenario(d, rng.uniform(0.0, d), 0.0, 1.0, 1.0, 1.0, 0.1, 1e6, flat)
+        yield from questions(f"flat interferer {k}", s, rng, DUALHOP_GRID)
+
+    # Powers near the ends of the float range, spans from 1 cm to 30 km:
+    # the grids hold inf and NaN, and a denominator can underflow to zero.
+    for k in range(min(draws, 100)):
+        rng = random.Random(k)
+        d = 10.0 ** rng.uniform(-2.0, 4.5)
+        powers = [10.0 ** rng.choice((rng.uniform(-323.5, -290.0),
+                                      rng.uniform(290.0, 308.0),
+                                      rng.uniform(-1.5, 1.5)))
+                  for _ in range(3)]
+        h_min = 10.0 ** rng.uniform(-4.0, 1.3)
+        s = Scenario(d, rng.uniform(0.0, d), rng.uniform(0.0, d), *powers,
+                     h_min, h_min + 10.0 ** rng.uniform(-3.0, 2.7), ch)
+        yield from questions(f"extreme powers {k}", s, rng, DUALHOP_GRID)
+
+    # Centimetre spans and a subnormal interferer power: the Tx-side SIR's
+    # denominator underflows to zero on the locus itself.
+    for k in range(min(draws, 50)):
+        rng = random.Random(k)
+        d = 10.0 ** rng.uniform(-3.0, 1.0)
+        h_min = 10.0 ** rng.uniform(-4.0, -1.0)
+        s = Scenario(d, rng.uniform(0.0, d), rng.uniform(0.0, d),
+                     10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0),
+                     10.0 ** rng.uniform(-323.5, -318.0), h_min,
+                     h_min + 10.0 ** rng.uniform(-3.0, 1.0), ch)
+        yield from questions(f"subnormal interferer {k}", s, rng, DUALHOP_GRID)
+
+    rng = random.Random(0)
+    for nx, nh in DUALHOP_GRIDS[:draws]:
+        s = workloads.conftest_scenario(rng, ch)
+        yield from questions(f"grid {nx}x{nh}", s, rng, (nx, nh))
+    s = workloads.conftest_scenario(rng, ch)
+    s = dataclasses.replace(s, h_max=s.h_min)
+    yield from questions("grid 64x8, h_min = h_max", s, rng, (64, 8))
+
+
+CORPORA = {"refine_altitudes": refine_corpus, "dualhop": dualhop_corpus}
 
 
 def emit(planner: str, draws: int) -> None:
     """Child side: one JSON line [label, repr] per answer or raised error."""
+    warnings.simplefilter("ignore")
     for label, thunk in CORPORA[planner](draws):
         try:
             answer = repr(thunk())

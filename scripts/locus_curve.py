@@ -7,10 +7,11 @@ prints the optimal (x, h, SIR) for each setting.
 
 import argparse
 import csv
+import math
 from pathlib import Path
 
 from uavrelay.channel import ChannelParams, Scenario
-from uavrelay.dualhop import locus_heights, optimal_position
+from uavrelay.dualhop import locus_sweep, optimal_position
 
 
 def main() -> None:
@@ -33,12 +34,11 @@ def main() -> None:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x_m", "h_plus_m", "h_minus_m"])
-            for i in range(args.samples + 1):
-                x = args.d * i / args.samples
-                row = {"plus": "", "minus": ""}
-                for point in locus_heights(s, x):
-                    row[point.branch] = f"{point.h:.6f}"
-                writer.writerow([f"{x:.6f}", row["plus"], row["minus"]])
+            xs = [args.d * i / args.samples for i in range(args.samples + 1)]
+            plus, minus = locus_sweep(s, xs)
+            for x, *heights in zip(xs, plus.tolist(), minus.tolist()):
+                cells = ["" if math.isnan(h) else f"{h:.6f}" for h in heights]
+                writer.writerow([f"{x:.6f}", *cells])
         x_opt, h_opt, report = optimal_position(s)
         print(f"p_msi={p_msi:g}W: optimum x={x_opt:.3f} m h={h_opt:.3f} m "
               f"SIR={report.system_sir:.4f} -> {path}")

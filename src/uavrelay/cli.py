@@ -35,7 +35,7 @@ import yaml
 from . import __version__
 from .channel import (ChannelParams, Scenario, multihop_link_sirs,
                       require_positive)
-from .dualhop import classify_case_fixed_h, locus_heights, optimal_position
+from .dualhop import classify_case_fixed_h, locus_sweep, optimal_position
 from .errors import (DomainError, InfeasibleError, NumericError, PlanningError,
                      SchemaError)
 from .multihop import design_min_uavs, distributed_max_sir, refine_altitudes
@@ -352,13 +352,10 @@ def dualhop_opt(s, sources, model):
                       show_default=True))
 def dualhop_locus(s, sources, model, samples):
     """Equal-SIR locus h(x) sampled over [0, D]."""
-    rows = []
-    for x in np.linspace(0.0, s.distance_tx_rx, samples).tolist():
-        points = locus_heights(s, x)
-        row = {"x_m": x, "h_plus_m": float("nan"), "h_minus_m": float("nan")}
-        for p in points:
-            row["h_plus_m" if p.branch == "plus" else "h_minus_m"] = p.h
-        rows.append(row)
+    xs = np.linspace(0.0, s.distance_tx_rx, samples)
+    plus, minus = locus_sweep(s, xs)
+    rows = [{"x_m": x, "h_plus_m": hp, "h_minus_m": hm}
+            for x, hp, hm in zip(xs.tolist(), plus.tolist(), minus.tolist())]
     on_locus = sum(1 for r in rows if not (math.isnan(r["h_plus_m"])
                                           and math.isnan(r["h_minus_m"])))
     return {}, {"samples": samples, "points_on_locus": on_locus}, rows

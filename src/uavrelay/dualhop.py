@@ -66,17 +66,36 @@ class CaseLabel:
     c3: float | None
 
 
+def _sq(v):
+    """v ** 2, rounded and raising as a Python float's ** 2 does.
+
+    An array's own ** 2 is v * v, which differs from the C library's pow in
+    the last bit on about one input in a thousand, so arrays go through
+    np.float_power; where a (finite) lane's square overflows to inf, the
+    array raises OverflowError as that lane's float ** 2 would.
+    """
+    if not isinstance(v, np.ndarray):
+        return v ** 2
+    v2 = np.float_power(v, 2.0)
+    if np.isinf(v2).any():
+        raise OverflowError(34, "Numerical result out of range")
+    return v2
+
+
 def _locus_bc(X, Y, D, x, pt, r):
-    """B and C of the locus biquadratic, over floats or exact Fractions."""
-    b = (pt * (X - x) ** 2 + pt * (D - x) ** 2
-         - r * (D - X) ** 2 + Y ** 2 * (pt - r))
-    c = (pt * (D - x) ** 2 * ((X - x) ** 2 + Y ** 2)
-         - r * x ** 2 * (Y ** 2 + (D - X) ** 2))
+    """B and C of the locus biquadratic, over floats, exact Fractions or an
+    array of x."""
+    to_msi, to_rx, y2, msi_rx = _sq(X - x), _sq(D - x), _sq(Y), _sq(D - X)
+    b = pt * to_msi + pt * to_rx - r * msi_rx + y2 * (pt - r)
+    c = pt * to_rx * (to_msi + y2) - r * _sq(x) * (y2 + msi_rx)
     return b, c
 
 
-def locus_coefficients(s: Scenario, x: float) -> tuple[float, float, float]:
-    """Coefficients (A, B, C) of A*h**4 + B*h**2 + C = 0 for SIR1 == SIR2."""
+def locus_coefficients(s: Scenario, x):
+    """Coefficients (A, B, C) of A*h**4 + B*h**2 + C = 0 for SIR1 == SIR2.
+
+    x is a float or an array of x (B and C are then arrays).
+    """
     b, c = _locus_bc(s.msi_x, s.msi_y, s.distance_tx_rx, x, s.p_tx,
                      s.p_uav * s.channel.nlos_over_eta)
     return s.p_tx, b, c
@@ -96,6 +115,11 @@ def locus_discriminant(s: Scenario, x: float) -> float:
     return float(b * b - 4 * pt * c)
 
 
+def _near_cancellation(a, b, c, disc):
+    """Where the float discriminant has lost most digits to cancellation."""
+    return abs(disc) < 1e-6 * (b * b + abs(4.0 * a * c))
+
+
 def locus_heights(s: Scenario, x: float) -> list[LocusPoint]:
     """Altitudes inside [h_min, h_max] where the two SIRs are equal at this x.
 
@@ -108,7 +132,7 @@ def locus_heights(s: Scenario, x: float) -> list[LocusPoint]:
     disc = b * b - 4.0 * a * c
     # Near-cancellation: the float subtraction has lost most digits, redo it
     # on exact rationals (slow path, rare).
-    if abs(disc) < 1e-6 * (b * b + abs(4.0 * a * c)):
+    if _near_cancellation(a, b, c, disc):
         disc = locus_discriminant(s, x)
     if disc < 0.0:
         return []
@@ -119,6 +143,33 @@ def locus_heights(s: Scenario, x: float) -> list[LocusPoint]:
         if s.h_min ** 2 <= lam <= s.h_max ** 2:
             out.append(LocusPoint(x, math.sqrt(lam), branch))
     return out
+
+
+def locus_sweep(s: Scenario, xs) -> tuple[np.ndarray, np.ndarray]:
+    """`locus_heights` at every x of an array, in one array expression.
+
+    Returns the altitudes of the plus and the minus branch, NaN where that
+    branch is not a point of the locus.  Each lane is bit for bit the
+    scalar answer: the same formulas and operand order, squares as
+    `_sq`, and the exact discriminant on the lanes that trip the
+    near-cancellation test.  It raises where a scalar loop over xs would.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not ((0.0 <= xs) & (xs <= s.distance_tx_rx)).all():
+        raise DomainError("x outside [0, D]")
+    with np.errstate(all="ignore"):
+        a, b, c = locus_coefficients(s, xs)
+        disc = b * b - 4.0 * a * c
+        for k in np.flatnonzero(_near_cancellation(a, b, c, disc)):
+            disc[k] = locus_discriminant(s, float(xs[k]))
+        sq = np.sqrt(disc)  # NaN where disc < 0: no point on either branch
+        lams = ((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
+        # locus_heights squares a band edge only when a lane gets that far,
+        # and the square of a huge edge raises there.
+        lo = s.h_min ** 2 if not (disc < 0.0).all() else math.inf
+        hi = s.h_max ** 2 if any((lo <= lam).any() for lam in lams) else -math.inf
+        return tuple(np.where((lo <= lam) & (lam <= hi), np.sqrt(lam), np.nan)
+                     for lam in lams)
 
 
 def stationary_points(s: Scenario, h: float) -> StationaryPoints:
@@ -291,19 +342,28 @@ def _locus_argmax(s: Scenario) -> LocusPoint | None:
     """Best point of the equal-SIR curve inside the altitude band.
 
     Samples x densely, keeps band-feasible altitudes, then golden-section
-    refines on the winning branch.
+    refines on the winning branch.  The samples are taken in order (x
+    ascending, plus before minus) and the first strict maximum wins: a NaN
+    SIR wins only as the first sample, since nothing compares above it.
     """
     D = s.distance_tx_rx
     xs = np.linspace(0.0, D, LOCUS_SAMPLES)
-    best: tuple[float, LocusPoint] | None = None
-    for x in xs:
-        for p in locus_heights(s, float(x)):
-            v = sir_tx_link(s, p.x, p.h)  # on the curve both SIRs coincide
-            if best is None or v > best[0]:
-                best = (v, p)
-    if best is None:
+    hs = np.stack(locus_sweep(s, xs), axis=1).ravel()  # plus, minus per x
+    on = np.flatnonzero(~np.isnan(hs))
+    if on.size == 0:
         return None
-    _, seed = best
+    x, h = xs[on // 2], hs[on]
+    with np.errstate(all="ignore"):
+        # sir_tx_link (on the curve both SIRs coincide), squared as the
+        # scalar code squares
+        h2 = _sq(h)
+        den = s.p_msi * (_sq(x) + h2)
+        v = s.p_tx * (_sq(s.msi_x - x) + s.msi_y ** 2 + h2) / den
+    if not den.all():
+        raise ZeroDivisionError("float division by zero")
+    k = 0 if np.isnan(v[0]) else int(np.nanargmax(v))
+    v_seed = float(v[k])
+    seed = LocusPoint(float(x[k]), float(h[k]), ("plus", "minus")[on[k] % 2])
     step = D / (LOCUS_SAMPLES - 1)
     lo = max(0.0, seed.x - step)
     hi = min(D, seed.x + step)
@@ -315,7 +375,7 @@ def _locus_argmax(s: Scenario) -> LocusPoint | None:
         return -math.inf
 
     x_ref, v_ref = _golden_max(objective, lo, hi)
-    if v_ref > best[0] and math.isfinite(v_ref):
+    if v_ref > v_seed and math.isfinite(v_ref):
         for p in locus_heights(s, x_ref):
             if p.branch == seed.branch:
                 return p

@@ -655,16 +655,20 @@ def refine_altitudes(s: Scenario, start: Placement, eps_h: float,
     alts = list(start.altitudes)
     n = len(alts)
     history = [min(multihop_link_sirs(s, hops, alts))]
-    for it in range(iterations):
-        for p in range(passes):
-            order = range(n) if (it * passes + p) % 2 == 0 else range(n - 1, -1, -1)
-            for i in order:
-                gap = hops[i] + hops[i + 1]
-                d_star, h_star, value, current = _explore_rectangle(
-                    s, hops, alts, i, eps_h)
-                if value > current:
-                    hops[i + 1] = gap - d_star
-                    hops[i] = d_star
-                    alts[i] = h_star
-        history.append(min(multihop_link_sirs(s, hops, alts)))
+    # A grid point that stacks UAV i on a neighbour floors that link's
+    # squared length at 1e-300, and its SIR overflows to inf: no warning.
+    with np.errstate(over="ignore"):
+        for it in range(iterations):
+            for p in range(passes):
+                order = (range(n) if (it * passes + p) % 2 == 0
+                         else range(n - 1, -1, -1))
+                for i in order:
+                    gap = hops[i] + hops[i + 1]
+                    d_star, h_star, value, current = _explore_rectangle(
+                        s, hops, alts, i, eps_h)
+                    if value > current:
+                        hops[i + 1] = gap - d_star
+                        hops[i] = d_star
+                        alts[i] = h_star
+            history.append(min(multihop_link_sirs(s, hops, alts)))
     return Placement(tuple(hops), tuple(alts)), history

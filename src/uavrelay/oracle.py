@@ -36,6 +36,12 @@ class BaselineStats:
     seed: int
 
 
+#: Cells of one row block of the dual-hop oracle grids: each float
+#: temporary of a block then takes 128 KiB, so the few alive at once stay in
+#: a core's L2 cache whatever the size of the grid.
+_BLOCK_CELLS = 1 << 14
+
+
 def _dual_sir_grids(s: Scenario, xs: np.ndarray, hs: np.ndarray):
     ch = s.channel
     X, Y, D = s.msi_x, s.msi_y, s.distance_tx_rx
@@ -48,28 +54,50 @@ def _dual_sir_grids(s: Scenario, xs: np.ndarray, hs: np.ndarray):
     return np.minimum(sir1, sir2)
 
 
-def grid_search_dual(s: Scenario, grid: GridSpec) -> tuple[float, float, float]:
-    """Dense-grid argmax of the dual-hop system SIR.
+def _dual_sir_blocks(s: Scenario, grid: GridSpec):
+    """The grid's x samples, its h samples and its system SIRs by row block.
 
-    Ties break toward smaller x, then smaller h (row-major argmax does both).
+    The SIRs come as an iterator of (first row, block): a block holds
+    max(1, _BLOCK_CELLS // nh) rows and the first row of the next block,
+    so every difference of adjacent rows lies inside one block and nothing
+    of the size of the whole grid is built.
     """
     xs = np.linspace(0.0, s.distance_tx_rx, grid.nx)
     hs = np.linspace(s.h_min, s.h_max, grid.nh)
-    sir = _dual_sir_grids(s, xs, hs)
-    i, j = np.unravel_index(int(np.argmax(sir)), sir.shape)
-    return float(xs[i]), float(hs[j]), float(sir[i, j])
+    step = max(1, _BLOCK_CELLS // grid.nh)
+    blocks = ((r0, _dual_sir_grids(s, xs[r0:r0 + step + 1], hs))
+              for r0 in range(0, grid.nx - 1, step))
+    return xs, hs, blocks
+
+
+def grid_search_dual(s: Scenario, grid: GridSpec) -> tuple[float, float, float]:
+    """Dense-grid argmax of the dual-hop system SIR.
+
+    Ties break toward smaller x, then smaller h (the first maximum in
+    row-major order, as np.argmax of the whole grid: a NaN is the maximum).
+    """
+    xs, hs, blocks = _dual_sir_blocks(s, grid)
+    best = None
+    for r0, sir in blocks:
+        k = int(np.argmax(sir))
+        v = sir.flat[k]
+        if best is None or v > best[0] or (v != v and best[0] == best[0]):
+            best = (v, r0 + k // grid.nh, k % grid.nh)
+    v, i, j = best
+    return float(xs[i]), float(hs[j]), float(v)
 
 
 def lipschitz_slack(s: Scenario, grid: GridSpec) -> float:
     """One-cell error bound: grid diagonal times the max observed gradient."""
-    xs = np.linspace(0.0, s.distance_tx_rx, grid.nx)
-    hs = np.linspace(s.h_min, s.h_max, grid.nh)
-    sir = _dual_sir_grids(s, xs, hs)
+    xs, hs, blocks = _dual_sir_blocks(s, grid)
     dx = xs[1] - xs[0]
-    dh = hs[1] - hs[0] if grid.nh > 1 and hs[1] > hs[0] else 1.0
-    gx = np.abs(np.diff(sir, axis=0)).max() / dx if grid.nx > 1 else 0.0
-    gh = np.abs(np.diff(sir, axis=1)).max() / dh
-    return float(np.hypot(dx, dh) * max(gx, gh))
+    dh = hs[1] - hs[0] if hs[1] > hs[0] else 1.0
+    # running maxima; np.maximum carries a NaN as .max() of the whole would
+    gx = gh = -np.inf
+    for _, sir in blocks:
+        gx = np.maximum(gx, np.abs(np.diff(sir, axis=0)).max())
+        gh = np.maximum(gh, np.abs(np.diff(sir, axis=1)).max())
+    return float(np.hypot(dx, dh) * max(gx / dx, gh / dh))
 
 
 def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,

@@ -1,5 +1,6 @@
 """Shared fixtures: channel presets, random scenario generators, YAML writer."""
 
+import dataclasses
 import random
 
 import pytest
@@ -39,6 +40,45 @@ def random_scenario(rng: random.Random, channel, *, d_hi=2000.0,
         h_max=rng.uniform(40.0, 500.0),
         channel=channel,
     )
+
+
+def edge_scenario(rng: random.Random, channel):
+    """A single-relay scenario from one of four regimes, including the edges
+    of the float range.
+
+    0: `random_scenario`.  1: criterion 01's flat interferer (Y = 0, unit
+    powers, matched coefficients), where the locus discriminant nearly
+    cancels.  2: powers near the ends of the float range on spans of 1 cm
+    to 30 km, so SIR grids hold inf and NaN.  3: centimetre spans with a
+    subnormal interferer power, where the Tx-side SIR's denominator
+    underflows to zero.  The band is a single altitude one time in ten.
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        s = random_scenario(rng, channel)
+    elif kind == 1:
+        d = rng.uniform(10.0, 2000.0)
+        s = Scenario(d, rng.uniform(0.0, d), 0.0, 1.0, 1.0, 1.0, 0.1, 1e6,
+                     ChannelParams.from_coefficients(1.0, 1.0, eta_nlos=1.0))
+    elif kind == 2:
+        d = 10.0 ** rng.uniform(-2.0, 4.5)
+        powers = [10.0 ** rng.choice((rng.uniform(-323.5, -290.0),
+                                      rng.uniform(290.0, 308.0),
+                                      rng.uniform(-1.5, 1.5)))
+                  for _ in range(3)]
+        h_min = 10.0 ** rng.uniform(-4.0, 1.3)
+        s = Scenario(d, rng.uniform(0.0, d), rng.uniform(0.0, d), *powers,
+                     h_min, h_min + 10.0 ** rng.uniform(-3.0, 2.7), channel)
+    else:
+        d = 10.0 ** rng.uniform(-3.0, 1.0)
+        h_min = 10.0 ** rng.uniform(-4.0, -1.0)
+        s = Scenario(d, rng.uniform(0.0, d), rng.uniform(0.0, d),
+                     10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0),
+                     10.0 ** rng.uniform(-323.5, -318.0), h_min,
+                     h_min + 10.0 ** rng.uniform(-3.0, 1.0), channel)
+    if rng.random() < 0.1:
+        s = dataclasses.replace(s, h_max=s.h_min)
+    return s
 
 
 def write_scenario_yaml(path, *, d=1000.0, msi_x=500.0, msi_y=400.0,

@@ -1,18 +1,24 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import uavrelay.dualhop as dualhop
 from uavrelay.channel import ChannelParams, Scenario, sir_rx_link, sir_tx_link
-from uavrelay.dualhop import (classify_case_fixed_h, locus_coefficients,
-                              locus_discriminant, locus_heights,
+from uavrelay.dualhop import (LOCUS_SAMPLES, LocusPoint, _golden_max,
+                              _locus_argmax, _near_cancellation,
+                              classify_case_fixed_h, locus_coefficients,
+                              locus_discriminant, locus_heights, locus_sweep,
                               optimal_h_fixed_x, optimal_position,
                               optimal_x_fixed_h, quartic_roots_fixed_h,
                               stationary_points)
 from uavrelay.errors import DomainError
 
-from conftest import make_scenario, random_scenario
+from conftest import C_LOS, C_NLOS, edge_scenario, make_scenario, random_scenario
+
+_CHANNEL = ChannelParams.from_carrier(2.0e9, C_LOS, C_NLOS)
 
 
 def test_locus_points_equalize_the_sirs(channel):
@@ -153,3 +159,166 @@ def test_locus_height_count_at_most_two(x, y, h_probe):
     ch = ChannelParams.from_carrier(2.0e9, 10 ** 0.01, 10 ** 2.1)
     s = make_scenario(ch, msi_x=x, msi_y=y)
     assert len(locus_heights(s, h_probe)) <= 2
+
+
+def _outcome(f, *args):
+    """repr of f's answer, or of the error it raises."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # an error is an answer to compare
+        return f"raised {exc!r}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300))
+def test_locus_sweep_equals_scalar_locus_heights_lane_by_lane(seed, lanes):
+    rng = random.Random(seed)
+    s = edge_scenario(rng, _CHANNEL)
+    xs = np.linspace(0.0, s.distance_tx_rx, lanes)
+    xs[1:-1] = np.sort([rng.uniform(0.0, s.distance_tx_rx)
+                        for _ in range(lanes - 2)])
+    scalar = [_outcome(locus_heights, s, x) for x in xs.tolist()]
+    errors = [out for out in scalar if out.startswith("raised")]
+    if errors:
+        assert _outcome(locus_sweep, s, xs) == errors[0]
+        return
+    plus, minus = locus_sweep(s, xs)
+    for x, hp, hm in zip(xs.tolist(), plus.tolist(), minus.tolist()):
+        lanes_points = [LocusPoint(x, h, b) for h, b in ((hp, "plus"), (hm, "minus"))
+                        if not math.isnan(h)]
+        assert repr(lanes_points) == repr(locus_heights(s, x))
+
+
+def test_locus_sweep_takes_the_exact_discriminant_near_a_fold():
+    """Near x = 196.49520 the two branches meet (B**2 = 4AC) inside the
+    band, so the float discriminant loses digits there: the lanes that trip
+    the near-cancellation test take the exact one, as the scalar code does."""
+    s = Scenario(579.4076708568939, 313.98483772642754, 410.2961531219587,
+                 23.756755795996376, 0.4047958077252475, 1.2542230718718348,
+                 8.11972359919943, 293.04154657098445, _CHANNEL)
+    xs = np.linspace(196.4951, 196.4953, 201)
+    a, b, c = locus_coefficients(s, xs)
+    disc = b * b - 4.0 * a * c
+    tripped = _near_cancellation(a, b, c, disc)
+    with np.errstate(invalid="ignore"):
+        float_minus = np.sqrt((-b - np.sqrt(disc)) / (2.0 * a))
+    plus, minus = locus_sweep(s, xs)
+    # the float discriminant would move some altitudes the band keeps
+    assert (tripped & ~np.isnan(minus) & (float_minus != minus)).any()
+    for x, hp, hm in zip(xs.tolist(), plus.tolist(), minus.tolist()):
+        assert {p.branch: p.h for p in locus_heights(s, x)} == {
+            b: h for b, h in (("plus", hp), ("minus", hm)) if not math.isnan(h)}
+
+
+def test_locus_sweep_rejects_x_outside_the_span(channel):
+    s = make_scenario(channel)
+    for xs in ([0.0, -1e-9], [s.distance_tx_rx * (1.0 + 1e-15)], [math.nan]):
+        with pytest.raises(DomainError, match="x outside"):
+            locus_sweep(s, xs)
+
+
+@pytest.mark.parametrize("scenario, xs, raises", [
+    # locus points reach the band test, where h_max ** 2 overflows
+    (dict(h_max=1e155), np.linspace(0.0, 1000.0, 64), True),
+    # the locus stays below the band: h_max is never squared
+    (dict(h_min=1e4, h_max=1e155), np.linspace(0.0, 1000.0, 64), False),
+    # B**2 < 4AC on every lane: neither band edge is squared
+    (dict(p_tx=1.0, p_uav=0.01, h_min=1e155, h_max=1e155),
+     np.linspace(0.0, 360.0, 37), False),
+    # only the squares that involve x overflow: D**2 at x = 0, x**2 at x = D
+    (dict(d=1e155, msi_x=1e155, msi_y=0.0), np.linspace(0.0, 1e155, 64), True),
+])
+def test_locus_sweep_overflows_where_the_scalar_code_does(channel, scenario, xs,
+                                                          raises):
+    s = make_scenario(channel, **scenario)
+    if raises:
+        with pytest.raises(OverflowError):
+            [locus_heights(s, x) for x in xs.tolist()]
+        with pytest.raises(OverflowError):
+            locus_sweep(s, xs)
+    else:
+        assert not any(locus_heights(s, x) for x in xs.tolist())
+        assert np.isnan(locus_sweep(s, xs)).all()
+
+
+def _scalar_locus_argmax(s, locus_heights=locus_heights):
+    """The scalar sampling loop of _locus_argmax as it was before the array
+    sweep, verbatim apart from taking locus_heights as an argument."""
+    D = s.distance_tx_rx
+    xs = np.linspace(0.0, D, LOCUS_SAMPLES)
+    best = None
+    for x in xs:
+        for p in locus_heights(s, float(x)):
+            v = sir_tx_link(s, p.x, p.h)  # on the curve both SIRs coincide
+            if best is None or v > best[0]:
+                best = (v, p)
+    if best is None:
+        return None
+    _, seed = best
+    step = D / (LOCUS_SAMPLES - 1)
+    lo = max(0.0, seed.x - step)
+    hi = min(D, seed.x + step)
+
+    def objective(x: float) -> float:
+        for p in locus_heights(s, x):
+            if p.branch == seed.branch:
+                return sir_tx_link(s, p.x, p.h)
+        return -math.inf
+
+    x_ref, v_ref = _golden_max(objective, lo, hi)
+    if v_ref > best[0] and math.isfinite(v_ref):
+        for p in locus_heights(s, x_ref):
+            if p.branch == seed.branch:
+                return p
+    return seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_locus_argmax_equals_the_scalar_loop(seed):
+    s = edge_scenario(random.Random(seed), _CHANNEL)
+    assert _outcome(_locus_argmax, s) == _outcome(_scalar_locus_argmax, s)
+
+
+def test_locus_argmax_raises_where_the_scalar_loop_divides_by_zero():
+    # A 16 cm span with a subnormal interferer power: p_msi * (x**2 + h**2)
+    # underflows to zero at locus points near the Tx, though not at the
+    # point the golden-section refinement settles on.
+    s = Scenario(0.155767272433976, 0.13160014967889908, 0.044954035344530886,
+                 1.153639606816173, 0.1155807942460021, 6.1e-322,
+                 0.0010901731210811885, 7.861318924085124, _CHANNEL)
+    with pytest.raises(ZeroDivisionError):
+        _scalar_locus_argmax(s)
+    with pytest.raises(ZeroDivisionError):
+        _locus_argmax(s)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1.0, 1e306)),
+       st.sampled_from((1.0, 1e306)), st.floats(0.0, 0.9))
+def test_locus_argmax_keeps_the_scalar_loops_nan_rule(monkeypatch, seed, p_tx,
+                                                      p_msi, miss):
+    """Over a stand-in locus whose Tx-side SIRs hold inf and NaN (both
+    powers 1e306 overflow), the sweep picks the sample the scalar loop's
+    strict `>` picks: a NaN wins only as the first sample."""
+    s = Scenario(100.0, 50.0, 3.0, p_tx, 1.0, p_msi, 1.0, 40.0, _CHANNEL)
+
+    def heights(s, x):
+        # a fixed pseudo-random function of x, so that both loops and the
+        # golden-section refinement see one locus
+        u = random.Random(f"{seed} {x!r}")
+        return [LocusPoint(x, u.uniform(1.0, 40.0), b)
+                for b in ("plus", "minus") if u.random() >= miss]
+
+    def sweep(s, xs):
+        out = np.full((2, len(xs)), np.nan)
+        for k, x in enumerate(np.asarray(xs).tolist()):
+            for p in heights(s, x):
+                out[("plus", "minus").index(p.branch), k] = p.h
+        return out[0], out[1]
+
+    monkeypatch.setattr(dualhop, "locus_heights", heights)
+    monkeypatch.setattr(dualhop, "locus_sweep", sweep)
+    expected = _outcome(_scalar_locus_argmax, s, heights)
+    assert _outcome(_locus_argmax, s) == expected

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -411,6 +412,14 @@ REFINE_CASES = {
         make_scenario(ch, msi_y=150.0, h_max=100.0),
         Placement((200.0, 300.0, 500.0), (90.0, 130.0)), 10.0, 1, 3),
     "signed-zero start": lambda ch: (*_signed_zero_start(ch), 10.0, 2, 1),
+    # Random draw 25 of scripts/compare_answers.py: grid points put a UAV on
+    # top of a neighbour, and that link's SIR overflows to inf.
+    "grid point on a neighbour": lambda ch: (
+        Scenario(1548.5488333347257, 471.92276094370976, 733.3485738290916,
+                 11.861216829656808, 5.91769856508601, 0.04019389830940956,
+                 17.027207136344074, 17.027207136344074, ch),
+        Placement.uniform([1548.5488333347257 / 8] * 8, 17.027207136344074),
+        0.0, 1, 1),
 }
 
 
@@ -418,9 +427,19 @@ REFINE_CASES = {
 def test_refine_altitudes_matches_reference_bit_for_bit(channel, case):
     s, start, eps_h, iterations, passes = REFINE_CASES[case](channel)
     got = refine_altitudes(s, start, eps_h, iterations, passes)
-    want = _refine_reference(s, start, eps_h, iterations, passes)
+    with np.errstate(over="ignore"):  # the reference warns where it overflows
+        want = _refine_reference(s, start, eps_h, iterations, passes)
     assert got == want
     assert repr(got) == repr(want)  # tells -0.0 from 0.0
+
+
+def test_refine_altitudes_overflow_on_a_neighbour_is_silent(channel):
+    """The inf SIR of a grid point on top of a neighbour is expected, so
+    numpy prints no overflow warning for it."""
+    case = REFINE_CASES["grid point on a neighbour"](channel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        refine_altitudes(*case)
 
 
 def test_refine_keeps_a_signed_zero_first_hop(channel):

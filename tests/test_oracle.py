@@ -1,17 +1,20 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uavrelay.channel import sir_rx_link, sir_tx_link
+from uavrelay.channel import ChannelParams, sir_rx_link, sir_tx_link
 from uavrelay.errors import DomainError, InfeasibleError
 from uavrelay.multihop import design_min_uavs, feasibility_bound
-from uavrelay.oracle import (BaselineStats, GridSpec, exhaustive_min_uavs,
+from uavrelay.oracle import (_BLOCK_CELLS, BaselineStats, GridSpec,
+                             _dual_sir_grids, exhaustive_min_uavs,
                              grid_search_dual, lipschitz_slack,
                              random_placement_baseline)
 from uavrelay.stochastic import BetaField
 
-from conftest import make_scenario, random_scenario
+from conftest import C_LOS, C_NLOS, edge_scenario, make_scenario, random_scenario
 
 
 def test_gridspec_validation():
@@ -54,6 +57,80 @@ def test_lipschitz_slack_positive_and_shrinks(channel):
     fine = lipschitz_slack(s, GridSpec(500, 500))
     assert coarse > 0.0
     assert fine < coarse
+
+
+def _full_grid_search_dual(s, grid):
+    """grid_search_dual as it was before the row blocks, verbatim."""
+    xs = np.linspace(0.0, s.distance_tx_rx, grid.nx)
+    hs = np.linspace(s.h_min, s.h_max, grid.nh)
+    sir = _dual_sir_grids(s, xs, hs)
+    i, j = np.unravel_index(int(np.argmax(sir)), sir.shape)
+    return float(xs[i]), float(hs[j]), float(sir[i, j])
+
+
+def _full_lipschitz_slack(s, grid):
+    """lipschitz_slack as it was before the row blocks, verbatim."""
+    xs = np.linspace(0.0, s.distance_tx_rx, grid.nx)
+    hs = np.linspace(s.h_min, s.h_max, grid.nh)
+    sir = _dual_sir_grids(s, xs, hs)
+    dx = xs[1] - xs[0]
+    dh = hs[1] - hs[0] if grid.nh > 1 and hs[1] > hs[0] else 1.0
+    gx = np.abs(np.diff(sir, axis=0)).max() / dx if grid.nx > 1 else 0.0
+    gh = np.abs(np.diff(sir, axis=1)).max() / dh
+    return float(np.hypot(dx, dh) * max(gx, gh))
+
+
+@st.composite
+def _grid_shapes(draw):
+    """Shapes from 2x2 up: one block or many, row counts that the block
+    height does not divide, and more columns than a block holds cells (one
+    row per block), kept to 200,000 cells for the full-grid reference."""
+    nh = draw(st.one_of(st.integers(2, 600),
+                        st.integers(_BLOCK_CELLS // 2, _BLOCK_CELLS + 40)))
+    nx = draw(st.integers(2, max(2, min(700, 200_000 // nh))))
+    return GridSpec(nx, nh)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), _grid_shapes())
+def test_blocked_oracle_equals_the_full_grid_oracle(seed, grid):
+    """Bit for bit, ties, inf and NaN included: grids of every edge
+    regime (see conftest.edge_scenario), a tenth with h_min = h_max,
+    where whole columns tie."""
+    s = edge_scenario(random.Random(seed),
+                      ChannelParams.from_carrier(2.0e9, C_LOS, C_NLOS))
+    with np.errstate(all="ignore"):
+        assert repr(grid_search_dual(s, grid)) == repr(_full_grid_search_dual(s, grid))
+        assert repr(lipschitz_slack(s, grid)) == repr(_full_lipschitz_slack(s, grid))
+
+
+def test_blocked_oracle_finds_a_nan_in_a_later_block(channel):
+    """np.argmax of the whole grid returns its first NaN, wherever it lies;
+    so does the blocked search, though the first block is NaN-free."""
+    s = make_scenario(channel, d=100.0, msi_x=50.0, msi_y=0.0, p_tx=1e305,
+                      p_uav=1e295, p_msi=1e305, h_min=1.0, h_max=30.0)
+    grid = GridSpec(200, 500)
+    with np.errstate(all="ignore"):
+        sir = _dual_sir_grids(s, np.linspace(0.0, 100.0, 200),
+                              np.linspace(1.0, 30.0, 500))
+        assert np.isnan(sir).any()
+        assert not np.isnan(sir[:_BLOCK_CELLS // grid.nh + 1]).any()
+        assert repr(grid_search_dual(s, grid)) == repr(_full_grid_search_dual(s, grid))
+        assert repr(lipschitz_slack(s, grid)) == repr(_full_lipschitz_slack(s, grid))
+
+
+@pytest.mark.parametrize("oracle", [grid_search_dual, lipschitz_slack])
+def test_oracle_memory_is_bounded_per_block(channel, oracle):
+    """A 1000x1000 grid would take 8 MB per float temporary; the row
+    blocks keep each call's traced peak under 4 MiB."""
+    s = make_scenario(channel)
+    tracemalloc.start()
+    try:
+        oracle(s, GridSpec(1000, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_exhaustive_agrees_with_design_small(channel):
