@@ -26,8 +26,18 @@ scenarios of criterion 01 (where the exact discriminant runs), 100 draws
 with powers near the ends of the float range, 50 centimetre spans with a
 subnormal interferer power, and the grid shapes of `DUALHOP_GRIDS`.
 
+The `exhaustive` corpus asks the minimum-fleet oracle `exhaustive_min_uavs`
+the benchmark's criterion-04 and criterion-09 questions (each design
+operation of `fleets_and_fields` on seeds 1501-1510, with the arguments
+the benchmark passes), 300 random draws and 20 subnormal spans whose grid
+repeats positions.  A draw is a conftest-style or `edge_scenario` scenario
+(tests/conftest.py), d_min > 0 on half of them, either kind, per_hop_grid
+in `EXHAUSTIVE_GRIDS`, n_max in 1-8, a target at the single-link cap, a
+share of it, 1e-300 or 1e300, and a Beta, x-varying Beta, deterministic or
+(on small grids) Gamma MGF field.
+
 `--draws N` takes at most N refinements or scenarios from each part of the
-corpus.
+corpus, and the benchmark designs of at most N seeds.
 """
 
 import argparse
@@ -199,7 +209,114 @@ def dualhop_corpus(draws: int):
     yield from questions("grid 64x8, h_min = h_max", s, rng, (64, 8))
 
 
-CORPORA = {"refine_altitudes": refine_corpus, "dualhop": dualhop_corpus}
+#: Position grids of the exhaustive corpus's random parts (per_hop_grid;
+#: the grid holds 8 * per_hop_grid + 1 positions).  MGF fields, whose
+#: Upsilon is a 289-node quadrature per position, take the small ones only.
+EXHAUSTIVE_GRIDS = (1, 2, 3, 7, 64, 256)
+MGF_GRIDS = EXHAUSTIVE_GRIDS[:4]
+
+
+class _OracleCall(Exception):
+    """Raised by `_OracleArgs` with the oracle's arguments."""
+
+
+class _OracleArgs:
+    """A stand-in tracer: it runs a benchmark operation's planner calls and
+    stops the operation at its oracle call, raising that call's arguments."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def call(self, label, fn, *args, **kwargs):
+        if fn is self.oracle:
+            raise _OracleCall(args, kwargs)
+        return fn(*args, **kwargs)
+
+
+def exhaustive_corpus(draws: int):
+    """(label, thunk) pairs; each thunk asks the minimum-fleet oracle once."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    sys.path.insert(0, str(REPO / "tests"))
+    import workloads
+    from conftest import edge_scenario
+    from uavrelay.channel import Scenario
+    from uavrelay.multihop import feasibility_bound
+    from uavrelay.oracle import exhaustive_min_uavs
+    from uavrelay.stochastic import BetaField, DeterministicField, upsilon
+
+    def asked(label, args, kwargs):
+        return label, lambda: exhaustive_min_uavs(*args, **kwargs)
+
+    # The benchmark's criterion-04 and criterion-09 designs, as it asks them.
+    capture = _OracleArgs(exhaustive_min_uavs)
+    for seed in BENCH_SEEDS[:draws]:
+        for kind, workload in (("design", workloads.multihop_fleet),
+                               ("stochastic_design", workloads.interference_fields)):
+            ops = [op for op in workload(seed) if op.kind == kind]
+            for k, op in enumerate(ops):
+                try:
+                    op.run(capture)
+                except _OracleCall as call:
+                    yield asked(f"benchmark seed {seed} {kind} {k}", *call.args)
+
+    ch = workloads.readme_channel()
+
+    def field(rng, span, grid):
+        """Beta, Beta with alpha rising along x, deterministic, or (on the
+        small grids) the benchmark's Gamma MGF field."""
+        variant = rng.randrange(4 if grid in MGF_GRIDS else 3)
+        if variant == 0:
+            return BetaField(rng.uniform(1.5, 8.0), rng.uniform(0.5, 8.0),
+                             10.0 ** rng.uniform(-2.0, 1.0), 100.0)
+        if variant == 1:
+            a0, a1 = rng.uniform(1.5, 4.0), rng.uniform(0.0, 4.0)
+            return BetaField(lambda x: a0 + a1 * x / span, rng.uniform(0.5, 8.0),
+                             10.0 ** rng.uniform(-2.0, 1.0), 100.0)
+        if variant == 2:
+            return DeterministicField(10.0 ** rng.uniform(-3.0, 3.0), 100.0)
+        return workloads.gamma_field(rng, span)[0]
+
+    def question(rng, s):
+        """The oracle's arguments at scenario s: either kind, a target at
+        the single-link cap, a share of it, near 0 or far above it."""
+        h = rng.uniform(s.h_min, s.h_max)
+        grid = rng.choice(EXHAUSTIVE_GRIDS)
+        model = field(rng, s.distance_tx_rx, grid)
+        kind = rng.choice(("deterministic", "stochastic"))
+        try:
+            if kind == "deterministic":
+                cap = feasibility_bound(s, h)
+            else:
+                cap = (upsilon(model, s.distance_tx_rx) * s.p_uav
+                       / (s.channel.eta_nlos * h ** 2))
+        except Exception:  # a scenario whose cap fails gets a plain target
+            cap = 1.0
+        gamma = rng.choice((cap, cap * rng.uniform(0.05, 0.8), 1e-300, 1e300))
+        if not gamma > 0.0:  # a cap that underflowed: the oracle needs > 0
+            gamma = 1.0
+        return (kind, s, h, gamma, rng.randint(1, 8), grid), {"model": model}
+
+    for k in range(draws):
+        rng = random.Random(k)
+        s = edge_scenario(rng, ch) if k % 2 else workloads.conftest_scenario(rng, ch)
+        if rng.random() < 0.5:
+            s = dataclasses.replace(s, d_min=s.distance_tx_rx
+                                    * rng.choice((1e-3, 0.02, 0.1, 0.3)))
+        yield asked(f"random draw {k}", *question(rng, s))
+
+    # Subnormal spans: linspace repeats positions or puts some above D, and
+    # every square underflows to 0.
+    for k in range(min(draws, 20)):
+        rng = random.Random(k)
+        d = rng.choice((5e-324, 1e-322, 3e-320, 2e-310))
+        s = Scenario(d, rng.choice((0.0, d)), rng.uniform(0.0, 1.0),
+                     10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0),
+                     10.0 ** rng.uniform(-3.0, 3.0), 1e-3, 1.0, ch)
+        yield asked(f"subnormal span {k}", *question(rng, s))
+
+
+CORPORA = {"refine_altitudes": refine_corpus, "dualhop": dualhop_corpus,
+           "exhaustive": exhaustive_corpus}
 
 
 def emit(planner: str, draws: int) -> None:

@@ -486,6 +486,9 @@ def oracle_grid(s, sources, model, grid):
     """Brute-force grid argmax of the dual-hop system SIR."""
     nx, nh = _parse_grid(grid)
     x, h, sir = grid_search_dual(s, GridSpec(nx, nh))
+    if not math.isfinite(sir):
+        raise NumericError(f"the grid's best system SIR is {sir!r}: the "
+                           f"link SIRs leave the float range")
     values = {"x_m": x, "h_m": h, "sir_system": sir}
     return {"grid": [nx, nh]}, values, [values]
 

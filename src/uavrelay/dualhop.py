@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import (Scenario, SirReport, require_altitude, sir_rx_link,
                       sir_system_dual, sir_tx_link)
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 #: Relative tolerance on SIR1 == SIR2 at a reported locus point / quartic root.
 SIR_EQUALITY_RTOL = 1e-6
@@ -212,11 +212,17 @@ def quartic_roots_fixed_h(s: Scenario, h_hat: float) -> list[float]:
 
     Roots come from the companion matrix, get up to 20 Newton polish steps
     and are deduplicated within 1e-7 * D.  Every kept root equalizes the two
-    SIRs within 1e-6 relative.
+    SIRs within 1e-6 relative.  Raises NumericError when a coefficient, or
+    its ratio to the leading one (a row of np.roots's companion matrix),
+    is inf or NaN: np.roots cannot take it.
     """
     require_altitude(s, h_hat)
     D = s.distance_tx_rx
     coeffs = _quartic_coefficients(s, h_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(coeffs / coeffs[0]).all()
+    if not finite:
+        raise NumericError(f"the locus quartic at h={h_hat:g} overflows")
     deriv = np.polyder(coeffs)
     roots = np.roots(coeffs)
     kept: list[float] = []

@@ -107,12 +107,22 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
                         ) -> Optional[int]:
     """True minimum chain size over a dense grid of UAV positions.
 
-    Explores every placement whose UAV positions lie on a shared grid via
-    boolean reachability products; returns None when no chain of at most
+    Explores every placement whose UAV positions lie on a shared grid of
+    per_hop_grid * 8 + 1 points; returns None when no chain of at most
     n_max UAVs meets gamma on that grid.
+
+    The chains grow one UAV per step from the positions whose Tx-side link
+    meets gamma.  The start positions of the admissible middle hops into
+    each position form one run (`_hop_runs`): the hop shortens as its start
+    moves up the sorted grid, so its distance tests hold on a prefix of the
+    starts and its SIR test on a suffix of that prefix.  A step is then a
+    prefix-sum test per position, and memory grows with the number of
+    positions, not its square.  gamma must be > 0.
     """
     if planner_kind not in ("deterministic", "stochastic"):
         raise DomainError("planner_kind must be deterministic or stochastic")
+    if gamma <= 0.0:
+        raise DomainError(f"gamma must be > 0, got {gamma!r}")
     if not 1 <= n_max <= 8:
         raise DomainError("n_max must be in [1, 8] (combinatorial guard)")
     if per_hop_grid < 1:
@@ -122,8 +132,12 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
     require_altitude(s, h)
     D = s.distance_tx_rx
     ch = s.channel
-    n_pos = per_hop_grid * 8 + 1
-    pos = np.linspace(0.0, D, n_pos)
+    # On spans below about 5e-315 m linspace's rounded step can put interior
+    # points above D.  Which chains exist depends on the set of positions
+    # only, so sorting them changes no answer; `_hop_runs` needs them sorted.
+    # The last grid point is then not always D: the Rx-side link reads
+    # Upsilon at D itself.
+    pos = np.sort(np.linspace(0.0, D, per_hop_grid * 8 + 1))
     X, Y = s.msi_x, s.msi_y
 
     det = planner_kind == "deterministic"
@@ -136,30 +150,84 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
         ups = upsilon_field(model)
         ups_pos = np.array([ups(float(p)) for p in pos])
         first_ok = (ups_pos * s.p_tx / (ch.eta_nlos * (pos ** 2 + h ** 2))) >= gamma
-        last_ok = (ups_pos[-1] * s.p_uav
+        last_ok = (ups(D) * s.p_uav
                    / (ch.eta_nlos * ((D - pos) ** 2 + h ** 2))) >= gamma
     if bool(np.any(first_ok & last_ok)):
-        return 1  # one UAV suffices: no need for the hop matrices
+        return 1  # one UAV suffices: no need for the hop runs
 
-    d_mat = pos[None, :] - pos[:, None]  # hop from i to j
-    with np.errstate(divide="ignore"):
-        if det:
-            mid_sir = (s.p_uav * ch.eta_nlos
-                       * ((X - pos[None, :]) ** 2 + Y ** 2 + h ** 2)
-                       / (ch.mu_los * s.p_msi * d_mat ** 2))
-        else:
-            mid_sir = (ups_pos[None, :] * s.p_uav
-                       / (ch.mu_los * d_mat ** 2))
-    mid_ok = (d_mat > 0.0) & (d_mat >= s.d_min) & (mid_sir >= gamma)
-
+    start, stop = _hop_runs(s, h, gamma, pos, None if det else ups_pos)
     reach = first_ok
     for n in range(2, n_max + 1):
-        reach = (reach[:, None] & mid_ok).any(axis=0)
+        before = np.concatenate(([0], np.cumsum(reach)))  # reached among i < k
+        reach = before[stop] > before[start]
         if not reach.any():
             return None
         if bool(np.any(reach & last_ok)):
             return n
     return None
+
+
+def _hop_runs(s: Scenario, h: float, gamma: float, pos: np.ndarray,
+              ups_pos: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """For each position j, the run [start_j, stop_j) of the positions i
+    from which a middle hop to j is admissible; pos is sorted, and ups_pos
+    is None for the deterministic oracle, else the Upsilon at each position.
+
+    A hop from pos[i] to pos[j] is admissible when its length
+    d = pos[j] - pos[i] is > 0 and >= d_min and its SIR num_j / (k * d ** 2)
+    is >= gamma > 0.  d does not rise as i grows (rounded subtraction is
+    monotone), so both distance tests hold on a prefix of i, which ends at
+    stop_j.  While d > 0 the SIR does not fall as d falls (rounded
+    squares, products and quotients are monotone, and an inf or NaN fails
+    against gamma > 0), so its test holds on a suffix of that prefix, from
+    start_j.  Each probe of the bisection evaluates the hop's expression
+    with the operands and operand order of the whole matrix of hops it
+    replaces, so every test gives that matrix's boolean.
+    """
+    ch = s.channel
+    X, Y = s.msi_x, s.msi_y
+
+    def too_short(i, j):
+        d = pos[j] - pos[i]
+        return ~((d > 0.0) & (d >= s.d_min))
+
+    if ups_pos is None:
+        num = s.p_uav * ch.eta_nlos * ((X - pos) ** 2 + Y ** 2 + h ** 2)
+
+        def sir_ok(i, j):
+            d = pos[j] - pos[i]
+            return num[j] / (ch.mu_los * s.p_msi * d ** 2) >= gamma
+    else:
+        num = ups_pos * s.p_uav
+
+        def sir_ok(i, j):
+            d = pos[j] - pos[i]
+            return num[j] / (ch.mu_los * d ** 2) >= gamma
+
+    first = np.zeros(pos.size, dtype=np.intp)
+    stop = _first_true(too_short, first, np.full(pos.size, pos.size))
+    with np.errstate(divide="ignore"):
+        start = _first_true(sir_ok, first, stop)
+    return start, stop
+
+
+def _first_true(test, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each lane j, the first i in [lo[j], hi[j]) with test(i, j) true,
+    or hi[j] when there is none.
+
+    test takes index arrays of the lanes still searched and must be false,
+    then true, along each lane's range; one bisection step halves every
+    range at once.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    lanes = np.flatnonzero(lo < hi)
+    while lanes.size:
+        mid = (lo[lanes] + hi[lanes]) // 2
+        hit = test(mid, lanes)
+        hi[lanes] = np.where(hit, mid, hi[lanes])
+        lo[lanes] = np.where(hit, lo[lanes], mid + 1)
+        lanes = lanes[lo[lanes] < hi[lanes]]
+    return lo
 
 
 def random_placement_baseline(s: Scenario, n_uavs: int, trials: int,

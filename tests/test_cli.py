@@ -461,6 +461,60 @@ def test_extreme_powers_exit_with_a_documented_code(runner, tmp_path, name):
     assert "Traceback" not in result.output
 
 
+#: Scenarios whose oracle grid's best system SIR is not finite: powers of
+#: 1e305 W on a 30 km span (inf / inf, NaN), and a subnormal interferer
+#: power on a centimetre span (a denominator that underflows, inf).
+NON_FINITE_GRIDS = {
+    "nan": dict(d=30000.0, msi_x=20000.0, p_tx="1.0e+305", p_msi="1.0e+305"),
+    "inf": dict(d=0.155767272433976, msi_x=0.13160014967889908,
+                msi_y=0.044954035344530886, p_tx=1.153639606816173,
+                p_uav=0.1155807942460021, p_msi="6.1e-322",
+                h_min=0.0010901731210811885, h_max=7.861318924085124),
+}
+
+
+@pytest.mark.parametrize("best", sorted(NON_FINITE_GRIDS))
+def test_oracle_grid_with_a_non_finite_best_exits_4(runner, tmp_path, best):
+    path = write_scenario_yaml(tmp_path / "s.yaml", **NON_FINITE_GRIDS[best])
+    out = tmp_path / "grid"
+    result = runner.invoke(main, ["oracle-grid", str(path), "--out", str(out)])
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert f"the grid's best system SIR is {best}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.with_suffix(".json").exists()
+
+
+def test_sweep_point_with_a_non_finite_grid_best_fails(runner, tmp_path):
+    path = write_scenario_yaml(tmp_path / "s.yaml", **NON_FINITE_GRIDS["nan"])
+    result = runner.invoke(main, ["sweep", str(path), "oracle-grid",
+                                  "--param", "powers.p_tx_w=1:1e305:2",
+                                  "--grid", "50x50",
+                                  "--out", str(tmp_path / "sweep")])
+    assert result.exit_code == 0, (result.output, result.exception)
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert doc["outputs"] == {"ok": 1, "failed": 1}
+    rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith("error: the grid's best system SIR is nan")
+
+
+def test_dualhop_opt_with_an_overflowing_quartic_exits_4(runner, tmp_path):
+    """Draw "extreme powers 20" of the answer comparison's dualhop corpus:
+    the locus quartic's coefficients overflow to inf and NaN."""
+    path = write_scenario_yaml(
+        tmp_path / "s.yaml", d=7702.964478090886, msi_x=2458.3175271542386,
+        msi_y=7318.1175013629645, p_tx="6.268543075210559e+303",
+        p_uav="1.941432912883362e+305", p_msi="4.937560383640017e-305",
+        h_min=0.0003525440095602834, h_max=0.36475752812004547)
+    result = runner.invoke(main, ["dualhop-opt", str(path),
+                                  "--out", str(tmp_path / "opt")])
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert "the locus quartic" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_refine_eps_h_nan_exits_2(runner, scenario_file):
     result = runner.invoke(main, ["refine-altitudes", str(scenario_file),
                                   "--n-uavs", "3", "--h", "20",

@@ -14,7 +14,7 @@ from uavrelay.dualhop import (LOCUS_SAMPLES, LocusPoint, _golden_max,
                               optimal_h_fixed_x, optimal_position,
                               optimal_x_fixed_h, quartic_roots_fixed_h,
                               stationary_points)
-from uavrelay.errors import DomainError
+from uavrelay.errors import DomainError, NumericError
 
 from conftest import C_LOS, C_NLOS, edge_scenario, make_scenario, random_scenario
 
@@ -96,6 +96,35 @@ def test_quartic_roots_equalize(channel):
     for x in roots:
         assert sir_tx_link(s, x, 50.0) == pytest.approx(
             sir_rx_link(s, s.distance_tx_rx - x, 50.0), rel=1e-6)
+
+
+#: Draw "extreme powers 20" of the answer comparison's dualhop corpus: the
+#: quartic's coefficients overflow to inf and NaN on the whole band.
+OVERFLOWING_QUARTIC = Scenario(
+    7702.964478090886, 2458.3175271542386, 7318.1175013629645,
+    6.268543075210559e+303, 1.941432912883362e+305, 4.937560383640017e-305,
+    0.0003525440095602834, 0.36475752812004547, _CHANNEL)
+
+
+def test_quartic_with_overflowing_coefficients_raises_numeric_error():
+    """np.roots would raise LinAlgError on them; the planners that reach
+    the quartic fail with the package's NumericError instead."""
+    s = OVERFLOWING_QUARTIC
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="locus quartic"):
+            quartic_roots_fixed_h(s, s.h_min)
+        with pytest.raises(NumericError, match="locus quartic"):
+            optimal_position(s)
+
+
+def test_quartic_whose_companion_row_overflows_raises_numeric_error(channel):
+    """Finite coefficients whose ratio to the leading one (p_tx = 1e-300)
+    overflows: np.roots's companion matrix would hold -inf."""
+    s = make_scenario(channel, d=100.0, msi_x=50.0, msi_y=40.0, p_tx=1e-300,
+                      p_uav=1e300, p_msi=1.0, h_max=50.0)
+    assert np.isfinite(dualhop._quartic_coefficients(s, 10.0)).all()
+    with pytest.raises(NumericError, match="locus quartic"):
+        quartic_roots_fixed_h(s, 10.0)
 
 
 def test_classify_case_ids_in_range(channel):

@@ -67,3 +67,13 @@ def test_compare_answers_dualhop_corpus_runs_on_a_tree_and_itself():
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == (
         "dualhop: 133 answers (0 raised errors), 0 differ")
+
+
+def test_compare_answers_exhaustive_corpus_runs_on_a_tree_and_itself():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "compare_answers.py"),
+         str(REPO), str(REPO), "--planner", "exhaustive", "--draws", "3"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        "exhaustive: 153 answers (0 raised errors), 0 differ")
