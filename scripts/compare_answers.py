@@ -25,6 +25,8 @@ The `dualhop` corpus asks the single-relay planners and their oracles
 scenarios of criterion 01 (where the exact discriminant runs), 100 draws
 with powers near the ends of the float range, 50 centimetre spans with a
 subnormal interferer power, and the grid shapes of `DUALHOP_GRIDS`.
+Odd-numbered scenarios ask `lipschitz_slack` before `grid_search_dual`, so
+that an answer taken from the wrong grid pass differs in either order.
 
 The `exhaustive` corpus asks the minimum-fleet oracle `exhaustive_min_uavs`
 the benchmark's criterion-04 and criterion-09 questions (each design
@@ -42,6 +44,7 @@ corpus, and the benchmark designs of at most N seeds.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -136,19 +139,23 @@ def dualhop_corpus(draws: int):
                                   optimal_x_fixed_h)
     from uavrelay.oracle import GridSpec, grid_search_dual, lipschitz_slack
 
+    scenario_numbers = itertools.count()
+
     def questions(label, s, rng, grid):
         """The planners and oracles at one scenario; rng draws the fixed
         coordinates."""
         h_hat = rng.uniform(s.h_min, s.h_max)
         x_hat = rng.uniform(0.0, s.distance_tx_rx)
         grid = GridSpec(*grid)
+        oracles = (("grid_search_dual", grid_search_dual, (grid,)),
+                   ("lipschitz_slack", lipschitz_slack, (grid,)))
+        if next(scenario_numbers) % 2:
+            oracles = oracles[::-1]
         calls = (("optimal_position", optimal_position, ()),
                  ("_locus_argmax", _locus_argmax, ()),
                  ("optimal_x_fixed_h", optimal_x_fixed_h, (h_hat,)),
                  ("optimal_h_fixed_x", optimal_h_fixed_x, (x_hat,)),
-                 ("locus_heights", locus_heights, (x_hat,)),
-                 ("grid_search_dual", grid_search_dual, (grid,)),
-                 ("lipschitz_slack", lipschitz_slack, (grid,)))
+                 ("locus_heights", locus_heights, (x_hat,))) + oracles
         for name, f, args in calls:
             yield f"{label}: {name}", lambda f=f, args=args: f(s, *args)
 

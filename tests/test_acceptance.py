@@ -82,11 +82,12 @@ def test_criterion_02_planners_match_oracles(channel):
     rng = random.Random(2)
     t0 = time.time()
     failures = []
+    grid = GridSpec(500, 500)
     for i in range(200):
         s = random_scenario(rng, channel)
         _, _, rep = optimal_position(s)
-        _, _, grid_best = grid_search_dual(s, GridSpec(500, 500))
-        slack = lipschitz_slack(s, GridSpec(500, 500))
+        _, _, grid_best = grid_search_dual(s, grid)
+        slack = lipschitz_slack(s, grid)
         if rep.system_sir < grid_best - slack:
             failures.append(("joint", i))
 

@@ -515,6 +515,23 @@ def test_dualhop_opt_with_an_overflowing_quartic_exits_4(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_oracle_exhaustive_with_an_overflowing_altitude_square_exits_4(
+        runner, tmp_path):
+    """The README scenario with a band up to 1e200 m: h = 1e160 is in the
+    band, but h ** 2 overflows a float."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    first = re.findall(r"```yaml\n(.*?)```", readme.read_text(), re.S)[0]
+    path = tmp_path / "s.yaml"
+    path.write_text(first.replace("h_max_m: 400.0", "h_max_m: 1.0e+200"))
+    result = runner.invoke(main, ["oracle-exhaustive", str(path),
+                                  "--gamma", "x5", "--h", "1e160",
+                                  "--out", str(tmp_path / "ex")])
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert "the altitude's square overflows" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_refine_eps_h_nan_exits_2(runner, scenario_file):
     result = runner.invoke(main, ["refine-altitudes", str(scenario_file),
                                   "--n-uavs", "3", "--h", "20",

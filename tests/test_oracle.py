@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from uavrelay.channel import (ChannelParams, Scenario, require_altitude,
                               sir_rx_link, sir_tx_link)
-from uavrelay.errors import DomainError, InfeasibleError
+from uavrelay.errors import DomainError, InfeasibleError, NumericError
 from uavrelay.multihop import design_min_uavs, feasibility_bound
+from uavrelay import oracle as oracle_module
 from uavrelay.oracle import (_BLOCK_CELLS, BaselineStats, GridSpec,
                              _dual_sir_grids, _first_true, _hop_runs,
                              exhaustive_min_uavs,
@@ -94,17 +97,115 @@ def _grid_shapes(draw):
     return GridSpec(nx, nh)
 
 
+#: The two grid oracles and their full-grid references, by name.
+_GRID_ORACLES = {"grid": (grid_search_dual, _full_grid_search_dual),
+                 "slack": (lipschitz_slack, _full_lipschitz_slack)}
+
+
+def _one_field_changed(rng, s):
+    """s with one field redrawn, by dataclasses.replace: a new scenario."""
+    d = s.distance_tx_rx
+    field, value = rng.choice((
+        ("msi_x", rng.uniform(0.0, d)),
+        ("msi_y", rng.uniform(0.0, d)),
+        ("p_tx", 10.0 ** rng.uniform(-3.0, 3.0)),
+        ("h_max", s.h_min + (s.h_max - s.h_min) * rng.random())))
+    return dataclasses.replace(s, **{field: value})
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), _grid_shapes())
-def test_blocked_oracle_equals_the_full_grid_oracle(seed, grid):
+@given(st.integers(0, 2 ** 32 - 1), _grid_shapes(),
+       st.one_of(st.none(), _grid_shapes()),
+       st.sampled_from((("grid", "slack"), ("slack", "grid"), ("grid",),
+                        ("slack",))),
+       st.lists(st.tuples(st.sampled_from(("grid", "slack")),
+                          st.integers(0, 1), st.integers(0, 1)),
+                max_size=4))
+def test_blocked_oracle_equals_the_full_grid_oracle(seed, grid, grid2, order,
+                                                    between):
     """Bit for bit, ties, inf and NaN included: grids of every edge
     regime (see conftest.edge_scenario), a tenth with h_min = h_max,
-    where whole columns tie."""
-    s = edge_scenario(random.Random(seed),
-                      ChannelParams.from_carrier(2.0e9, C_LOS, C_NLOS))
+    where whole columns tie.  The two oracles are asked in a drawn order
+    about one scenario and grid, then about a second scenario (one field
+    changed) and a second grid (None: an equal GridSpec) in a drawn
+    interleaving, then in the same order again, so that no call answers
+    from another call's pass."""
+    rng = random.Random(seed)
+    s = edge_scenario(rng, ChannelParams.from_carrier(2.0e9, C_LOS, C_NLOS))
+    scenarios = (s, _one_field_changed(rng, s))
+    grids = (grid, GridSpec(grid.nx, grid.nh) if grid2 is None else grid2)
+    calls = ([(name, 0, 0) for name in order] + between
+             + [(name, 0, 0) for name in order])
+    want = {}
     with np.errstate(all="ignore"):
-        assert repr(grid_search_dual(s, grid)) == repr(_full_grid_search_dual(s, grid))
-        assert repr(lipschitz_slack(s, grid)) == repr(_full_lipschitz_slack(s, grid))
+        for name, i, j in calls:
+            oracle, full = _GRID_ORACLES[name]
+            if (name, i, j) not in want:
+                want[name, i, j] = repr(full(scenarios[i], grids[j]))
+            assert repr(oracle(scenarios[i], grids[j])) == want[name, i, j]
+
+
+def test_oracle_pair_does_not_reuse_another_scenarios_pass(channel):
+    """A pass of one scenario never answers for another on the same grid."""
+    s1 = make_scenario(channel)
+    s2 = dataclasses.replace(s1, p_tx=4.0 * s1.p_tx)
+    grid = GridSpec(60, 40)
+    assert _full_lipschitz_slack(s1, grid) != _full_lipschitz_slack(s2, grid)
+    grid_search_dual(s1, grid)
+    assert repr(lipschitz_slack(s2, grid)) == repr(_full_lipschitz_slack(s2, grid))
+    lipschitz_slack(s1, grid)
+    assert repr(grid_search_dual(s2, grid)) == repr(_full_grid_search_dual(s2, grid))
+
+
+def test_oracle_pair_sweeps_the_grid_once(channel, monkeypatch):
+    """The second call of a pair on the same scenario and grid reuses the
+    first one's pass, in either order; another grid sweeps again."""
+    sweeps = []
+    blocks = oracle_module._dual_sir_blocks
+    monkeypatch.setattr(oracle_module, "_dual_sir_blocks",
+                        lambda s, grid: sweeps.append(grid) or blocks(s, grid))
+    s, grid = make_scenario(channel), GridSpec(60, 40)
+    grid_search_dual(s, grid)
+    lipschitz_slack(s, grid)
+    assert len(sweeps) == 1
+    other = GridSpec(60, 40)
+    lipschitz_slack(s, other)
+    grid_search_dual(s, other)
+    assert sweeps == [grid, other]
+
+
+def test_oracle_pass_shared_by_threads_answers_each_its_own(channel):
+    """Threads asking the pair about their own scenarios at once: the last
+    pass they share may miss, and never answers for another thread."""
+    grid = GridSpec(30, 20)
+    scenarios = [make_scenario(channel, p_tx=p) for p in (1.0, 5.0, 20.0, 80.0)]
+    want = [(repr(_full_grid_search_dual(s, grid)),
+             repr(_full_lipschitz_slack(s, grid))) for s in scenarios]
+    assert len(set(want)) == len(scenarios)
+    start = threading.Barrier(len(scenarios))
+    wrong = []
+
+    def ask(k):
+        start.wait(timeout=60.0)  # start together, so the calls interleave
+        for _ in range(5000):
+            got = (repr(grid_search_dual(scenarios[k], grid)),
+                   repr(lipschitz_slack(scenarios[k], grid)))
+            if got != want[k]:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=ask, args=(k,))
+               for k in range(len(scenarios))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_blocked_oracle_finds_a_nan_in_a_later_block(channel):
@@ -165,9 +266,18 @@ def test_exhaustive_validation(channel):
         with pytest.raises(DomainError):
             exhaustive_min_uavs("deterministic", s, 15.0, 1.0, n_max=n_max)
     # A target <= 0 is met by any chain; the hop runs need gamma > 0.
-    for gamma in (0.0, -0.0, -1.0, -float("inf")):
+    for gamma in (0.0, -0.0, -1.0, -float("inf"), float("nan")):
         with pytest.raises(DomainError, match="gamma must be > 0"):
             exhaustive_min_uavs("deterministic", s, 15.0, gamma)
+
+
+def test_exhaustive_altitude_whose_square_overflows(channel):
+    """h ** 2 of h = 1e160 overflows a float: a NumericError, either kind."""
+    s = make_scenario(channel, h_max=1e200)
+    model = BetaField(3.0, 1.0, 1.0, 100.0)
+    for kind in ("deterministic", "stochastic"):
+        with pytest.raises(NumericError, match="square overflows"):
+            exhaustive_min_uavs(kind, s, 1e160, 5.0, model=model)
 
 
 def test_exhaustive_stochastic_runs(channel):
@@ -380,9 +490,9 @@ def test_hop_runs_hold_exactly_the_dense_matrix_hops(seed):
                else 10.0 ** np.array([rng.uniform(-3.0, 3.0) for _ in pos]))
     try:
         d_mat, mid_sir = _dense_hop_sirs(s, h, pos, ups_pos)
-    except OverflowError:  # h ** 2 of a float: both raise it
+    except OverflowError:  # Y ** 2 of a float: both raise it
         with pytest.raises(OverflowError), np.errstate(all="ignore"):
-            _hop_runs(s, h, 1.0, pos, ups_pos)
+            _hop_runs(s, h ** 2, 1.0, pos, ups_pos)
         return
     candidates = (mid_sir > 0.0) & np.isfinite(mid_sir)
     with np.errstate(all="ignore"):  # hops where float_power(d, 2.0) != d * d
@@ -395,7 +505,7 @@ def test_hop_runs_hold_exactly_the_dense_matrix_hops(seed):
     with np.errstate(divide="ignore"):
         mid_ok = (d_mat > 0.0) & (d_mat >= s.d_min) & (mid_sir >= gamma)
     with np.errstate(all="ignore"):
-        start, stop = _hop_runs(s, h, gamma, pos, ups_pos)
+        start, stop = _hop_runs(s, h ** 2, gamma, pos, ups_pos)
     i = np.arange(pos.size)[:, None]
     assert np.array_equal(mid_ok, (i >= start) & (i < stop))
 
