@@ -2,13 +2,24 @@
 """Compare the planners' answers of two source trees, answer by answer.
 
     python3 scripts/compare_answers.py TREE_A TREE_B [--planner NAME] [--draws N]
+        [--expect FILE]
 
 Each tree runs the same fixed corpus in its own Python process, with
 PYTHONPATH set to the tree's `src`.  The `repr` of every answer, and of
 every error a planner raises, is diffed between the two trees; the script
-prints the counts and exits 1 when any answer differs.  It is the check
-behind a claim that a change keeps the planners' answers bit for bit.
-Warnings are not answers: the corpus runs with them silenced.
+prints each differing label with both answers, then the counts, and exits 1
+when any answer differs.  It is the check behind a claim that a change
+keeps the planners' answers bit for bit.  Warnings are not answers: the
+corpus runs with them silenced.
+
+A change that alters answers on purpose lists them in an `--expect` file,
+JSON of the form {"base": COMMIT, "differ": {PLANNER: [LABEL, ...]}}.  The
+script then exits 0 only when the differing labels are exactly those
+listed for the planner.  The file holds only where COMMIT is the commit
+that TREE_A has checked out (`git rev-parse HEAD`): a file left behind by
+an earlier change names another commit, so it allows no difference and
+demands none.  `scripts/changed_answers.json` is the file of the latest
+change that altered answers.
 
 The `refine_altitudes` corpus (the default) holds the 30 refinements of
 the benchmark's `fleets_and_fields` workload (seeds 1501-1510, n = 20, 35,
@@ -38,12 +49,24 @@ in `EXHAUSTIVE_GRIDS`, n_max in 1-8, a target at the single-link cap, a
 share of it, 1e-300 or 1e300, and a Beta, x-varying Beta, deterministic or
 (on small grids) Gamma MGF field.
 
+The `distributed` corpus runs `distributed_max_sir`'s epsilon scans: the
+short, long and fine scans of the benchmark's `fleets_and_fields` workload
+(seeds 1501-1510, with the arguments the benchmark passes), the conftest
+draws of `scan_draws` (tests/conftest.py, seed 10: the interferer at 0 or
+D on a fifth of them, epsilons that divide gamma0 exactly, fleets of 1 to
+52 UAVs), criterion-05-style draws (one per seed) and criterion 05's fleet
+sweep, both at epsilon = 0.1, and the `edge_scan_draws` of `edge_scenario`
+seeds 0 to N - 1 whose start target is finite, where rounds leave the
+float range.  An answer is the target, the placement, the round count and
+the SHA-256 of the trace rows.
+
 `--draws N` takes at most N refinements or scenarios from each part of the
-corpus, and the benchmark designs of at most N seeds.
+corpus, and the benchmark designs or scans of at most N seeds.
 """
 
 import argparse
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -223,21 +246,34 @@ EXHAUSTIVE_GRIDS = (1, 2, 3, 7, 64, 256)
 MGF_GRIDS = EXHAUSTIVE_GRIDS[:4]
 
 
-class _OracleCall(Exception):
-    """Raised by `_OracleArgs` with the oracle's arguments."""
+class _Called(Exception):
+    """Raised by `_CallArgs` with the arguments of the call it stops at."""
 
 
-class _OracleArgs:
-    """A stand-in tracer: it runs a benchmark operation's planner calls and
-    stops the operation at its oracle call, raising that call's arguments."""
+class _CallArgs:
+    """A stand-in tracer: it runs a benchmark operation's calls and stops
+    the operation at its call of `target`, raising that call's arguments."""
 
-    def __init__(self, oracle):
-        self.oracle = oracle
+    def __init__(self, target):
+        self.target = target
 
     def call(self, label, fn, *args, **kwargs):
-        if fn is self.oracle:
-            raise _OracleCall(args, kwargs)
+        if fn is self.target:
+            raise _Called(args, kwargs)
         return fn(*args, **kwargs)
+
+
+def benchmark_calls(workload, kind: str, target, seeds):
+    """(label, args, kwargs) of each call of target that the benchmark
+    operations of this kind make, on the workload's seeds."""
+    capture = _CallArgs(target)
+    for seed in seeds:
+        ops = [op for op in workload(seed) if op.kind == kind]
+        for k, op in enumerate(ops):
+            try:
+                op.run(capture)
+            except _Called as call:
+                yield f"benchmark seed {seed} {kind} {k}", *call.args
 
 
 def exhaustive_corpus(draws: int):
@@ -255,16 +291,11 @@ def exhaustive_corpus(draws: int):
         return label, lambda: exhaustive_min_uavs(*args, **kwargs)
 
     # The benchmark's criterion-04 and criterion-09 designs, as it asks them.
-    capture = _OracleArgs(exhaustive_min_uavs)
     for seed in BENCH_SEEDS[:draws]:
         for kind, workload in (("design", workloads.multihop_fleet),
                                ("stochastic_design", workloads.interference_fields)):
-            ops = [op for op in workload(seed) if op.kind == kind]
-            for k, op in enumerate(ops):
-                try:
-                    op.run(capture)
-                except _OracleCall as call:
-                    yield asked(f"benchmark seed {seed} {kind} {k}", *call.args)
+            for call in benchmark_calls(workload, kind, exhaustive_min_uavs, [seed]):
+                yield asked(*call)
 
     ch = workloads.readme_channel()
 
@@ -322,8 +353,58 @@ def exhaustive_corpus(draws: int):
         yield asked(f"subnormal span {k}", *question(rng, s))
 
 
+def distributed_corpus(draws: int):
+    """(label, thunk) pairs; each thunk runs one epsilon scan of
+    `distributed_max_sir` and answers its target, placement, round count
+    and the SHA-256 of its trace rows' repr."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    sys.path.insert(0, str(REPO / "tests"))
+    import workloads
+    from conftest import edge_scan_draws, scan_draws
+    from uavrelay.channel import Scenario
+    from uavrelay.multihop import distributed_max_sir
+
+    def scan(s, h, n, epsilon):
+        gamma, placement, trace = distributed_max_sir(s, h, n, epsilon)
+        rows = repr((trace.gammas, trace.first_hops, trace.system_sirs))
+        return (gamma, placement, len(trace.gammas),
+                hashlib.sha256(rows.encode()).hexdigest())
+
+    def asked(label, args, kwargs):
+        return label, lambda: scan(*args, **kwargs)
+
+    # The benchmark's short, long and fine scans, as it asks them.
+    for kind in ("distributed_short_fleet", "distributed_long_fleet",
+                 "distributed_fine_scan"):
+        for call in benchmark_calls(workloads.multihop_fleet, kind,
+                                    distributed_max_sir, BENCH_SEEDS[:draws]):
+            yield asked(*call)
+
+    ch = workloads.readme_channel()
+    for k, args in enumerate(scan_draws(ch, 10, draws)):
+        yield asked(f"conftest draw {k}", args, {})
+
+    # Criterion 05's distributions at epsilon = 0.1, and its fleet sweep.
+    for k in range(draws):
+        rng = random.Random(k)
+        d = rng.uniform(200.0, 1500.0)
+        s = Scenario(d, rng.uniform(0.0, d), rng.uniform(50.0, d),
+                     10.0 ** rng.uniform(0.0, 2.0), 10.0 ** rng.uniform(-1.0, 1.0),
+                     10.0 ** rng.uniform(0.0, 2.0), 1.0, 500.0, ch)
+        args = (s, rng.uniform(10.0, 100.0), rng.randint(2, 20), 0.1)
+        yield asked(f"criterion 05 draw {k}", args, {})
+    s = Scenario(1000.0, 500.0, 400.0, 80.0, 1.0, 80.0, 5.0, 400.0, ch)
+    for n in (10, 25, 50):
+        yield asked(f"criterion 05 fleet of {n}", (s, 20.0, n, 0.1), {})
+
+    # Edge scenarios whose start target is finite.
+    for k in range(draws):
+        for args in edge_scan_draws(ch, [k]):
+            yield asked(f"edge draw {k}", args, {})
+
+
 CORPORA = {"refine_altitudes": refine_corpus, "dualhop": dualhop_corpus,
-           "exhaustive": exhaustive_corpus}
+           "exhaustive": exhaustive_corpus, "distributed": distributed_corpus}
 
 
 def emit(planner: str, draws: int) -> None:
@@ -344,6 +425,19 @@ def answers(tree: Path, planner: str, draws: int) -> subprocess.Popen:
         env=env, stdout=subprocess.PIPE, text=True)
 
 
+def expected_labels(path: Path, tree_a: Path, planner: str) -> set:
+    """The labels of planner's corpus that the --expect file allows to
+    differ, or none when the file is for another base than TREE_A."""
+    spec = json.loads(path.read_text())
+    head = subprocess.run(["git", "-C", str(tree_a), "rev-parse", "HEAD"],
+                          capture_output=True, text=True).stdout.strip()
+    if spec["base"] != head:
+        print(f"{path} is for base {spec['base']}, not {head or 'an unknown'}"
+              " commit: no answer may differ")
+        return set()
+    return set(spec["differ"].get(planner, ()))
+
+
 def main() -> int:
     if sys.argv[1:2] == ["--emit"]:
         emit(sys.argv[2], int(sys.argv[3]))
@@ -355,7 +449,11 @@ def main() -> int:
     parser.add_argument("--planner", choices=sorted(CORPORA),
                         default="refine_altitudes")
     parser.add_argument("--draws", type=int, default=DEFAULT_DRAWS)
+    parser.add_argument("--expect", type=Path,
+                        help="JSON file of the labels allowed to differ")
     args = parser.parse_args()
+    expected = (expected_labels(args.expect, args.tree_a, args.planner)
+                if args.expect else set())
     children = [answers(tree, args.planner, args.draws)
                 for tree in (args.tree_a, args.tree_b)]
     sides = []
@@ -369,13 +467,19 @@ def main() -> int:
     if [label for label, _ in a] != [label for label, _ in b]:
         print("the two trees ran different corpora")
         return 2
-    differ = [label for (label, x), (_, y) in zip(a, b) if x != y]
+    differ = []
+    for (label, x), (_, y) in zip(a, b):
+        if x != y:
+            differ.append(label)
+            print(f"differs{' as expected' if label in expected else ''}: {label}")
+            print(f"  {args.tree_a}: {x[:300]}\n  {args.tree_b}: {y[:300]}")
+    for label in sorted(expected - set(differ)):
+        print(f"expected to differ, but does not: {label}")
     raised = sum(answer.startswith("raised ") for _, answer in a)
-    for label in differ:
-        print(f"differs: {label}")
     print(f"{args.planner}: {len(a)} answers ({raised} raised errors), "
-          f"{len(differ)} differ")
-    return 1 if differ else 0
+          f"{len(differ)} differ" + (f", {len(expected)} expected to"
+                                     if args.expect else ""))
+    return 0 if set(differ) == expected else 1
 
 
 if __name__ == "__main__":

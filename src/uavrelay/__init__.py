@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .channel import (ChannelParams, Scenario, SirReport, multihop_link_sirs,
-                      path_loss, sir_air_link, sir_multihop, sir_rx_link,
-                      sir_system_dual, sir_tx_link)
+                      sir_air_link, sir_multihop, sir_rx_link, sir_system_dual,
+                      sir_tx_link)
 from .dualhop import (classify_case_fixed_h, locus_heights, locus_sweep,
                       optimal_h_fixed_x, optimal_position, optimal_x_fixed_h,
                       quartic_roots_fixed_h, stationary_points)

@@ -122,21 +122,6 @@ class SirReport:
         return cls(links, links[idx], idx)
 
 
-def path_loss(params: ChannelParams, kind: str, distance: float) -> float:
-    """Attenuation of a link of the given kind over `distance` meters.
-
-    kind is one of "los" (mu_los * d**2), "nlos" (mu_nlos * d**2) or
-    "air_ground" (eta_nlos * d**2).
-    """
-    if distance <= 0.0:
-        raise DomainError("distance must be > 0")
-    coefficients = {"los": params.mu_los, "nlos": params.mu_nlos,
-                    "air_ground": params.eta_nlos}
-    if kind not in coefficients:
-        raise DomainError(f"unknown path-loss kind {kind!r}")
-    return coefficients[kind] * distance ** 2
-
-
 def sir_tx_link(s: Scenario, d1, h):
     """SIR of the Tx -> UAV link, the UAV at horizontal distance d1 and altitude h.
 

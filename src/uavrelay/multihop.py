@@ -40,11 +40,12 @@ REFINE_ZOOMS = 3
 #: `design_min_uavs` gives up once a chain grows past this many UAVs.
 DESIGN_N_CAP = 10_000
 
-#: `distributed_max_sir` scores its first two targets one scalar round at a
-#: time, then chunks of targets in lockstep: LOCKSTEP_FIRST, doubling up to
-#: LOCKSTEP_CHUNK, which keeps the scan's memory flat.  A lockstep call
-#: costs about 25 scalar rounds of the same fleet, so chunks that start
-#: small make scans of a few hundred rounds slower than scalar rounds.
+#: `distributed_max_sir` scores its targets in lockstep chunks of
+#: LOCKSTEP_FIRST, doubling up to LOCKSTEP_CHUNK.  A chunk holds n_uavs + 1
+#: hop arrays of its lanes, so the cap bounds the scan's memory at about
+#: 32 KiB per UAV.  A lockstep call costs about as much as 25 scalar rounds
+#: of the same fleet, so a scan that closes in its first few rounds pays
+#: for a whole first chunk.
 LOCKSTEP_FIRST = 256
 LOCKSTEP_CHUNK = 4096
 
@@ -64,14 +65,6 @@ class Placement:
     def uniform(cls, hops, h: float) -> "Placement":
         hops = tuple(float(d) for d in hops)
         return cls(hops, (float(h),) * (len(hops) - 1))
-
-    def positions(self) -> list[float]:
-        """Cumulative horizontal positions of the UAVs."""
-        out, acc = [], 0.0
-        for d in self.hop_distances[:-1]:
-            acc += d
-            out.append(acc)
-        return out
 
 
 @dataclass(frozen=True)
@@ -302,73 +295,40 @@ def _check_design(s: Scenario, placement: Placement, gamma: float) -> float:
     return gamma
 
 
-def _forward_chain(s: Scenario, h: float, gamma: float, n_uavs: int):
-    """One forward-propagation round: hop distances for a target SIR.
-
-    Returns None when some link cannot reach gamma at all.
-    """
-    D = s.distance_tx_rx
-    try:
-        consumed = min(first_hop_distance(s, h, gamma), D)
-        d_max = last_hop_max_distance(s, h, gamma)
-        hops = [consumed]
-        for _ in range(1, n_uavs):
-            if consumed >= D:
-                hops.append(0.0)
-                continue
-            d_k, _ = middle_hop_distance(s, h, gamma, consumed, d_max)
-            d_k = min(max(d_k, 0.0), D - consumed)
-            hops.append(d_k)
-            consumed += d_k
-    except InfeasibleError:
-        return None
-    return hops, consumed, d_max
-
-
-def _scalar_round(s: Scenario, h: float, gamma: float, n_uavs: int):
-    """One round of the scan: (d_1, system SIR, closes, hops) for one target.
-
-    A round where some link cannot reach gamma is (0.0, NaN, False, None).
-    The system SIR skips the zero hops of surplus UAVs stacked on one spot:
-    a zero hop is no link.
-    """
-    result = _forward_chain(s, h, gamma, n_uavs)
-    if result is None:
-        return 0.0, math.nan, False, None
-    hops, consumed, d_max = result
-    D = s.distance_tx_rx
-    hops.append(max(D - consumed, 0.0))
-    links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
-    sir = min(multihop_link_sirs(s, links, h))
-    return hops[0], sir, D - consumed <= d_max, hops
-
-
 def _forward_rounds(s: Scenario, h: float, gammas: np.ndarray, n_uavs: int):
-    """`_scalar_round` for a whole array of targets, one lane per target.
+    """The scan's round for each target, the targets in lockstep lanes.
 
-    Every lane rounds as the scalar round does: squares go through
+    A lane runs `first_hop_distance`, `last_hop_max_distance` and one
+    `middle_hop_distance` per further UAV (a zero hop once its chain has
+    reached D), rounding as those scalar functions do: squares go through
     np.float_power(x, 2.0), which calls the C library's pow like float ** 2
     (an array's x ** 2 is x * x, which differs in the last bit on about one
     input in a thousand), the operand order and grouping are the scalar
-    code's, and min/max are the comparisons Python's min and max make.  A
-    lane whose hop is infeasible is masked out instead of raising.  Returns
-    the arrays (ok, d_1, consumed, d_max, system SIR, suspect); suspect
-    marks the lanes where the scalar round may raise instead: a square that
-    overflows (OverflowError), a positive middle hop whose square underflows
-    (DomainError) or a divisor that underflows to zero (ZeroDivisionError).
+    code's, and min/max are the comparisons Python's min and max make.
+
+    Returns (hops, sir, closes, raises): the n_uavs + 1 hop arrays, the
+    system SIR (a zero hop of stacked UAVs is no link), whether the last
+    hop is within d_max, and whether the scalar functions raise on the
+    lane, where a square of a finite value overflows or a divisor is not
+    > 0.  A lane where some link cannot reach its target has d_1 = 0.0 and
+    SIR NaN, and does not close.
     """
     D, X = s.distance_tx_rx, s.msi_x
     ch = s.channel
+    # The scan's start target has taken these float squares already.
     h2, y2 = h ** 2, s.msi_y ** 2
     rx_num = s.p_uav * ch.mu_nlos * ((X - D) ** 2 + y2)
     q = s.p_uav / ch.mu_los
     phi_tol = PHI_DENOM_RTOL * D
     with np.errstate(all="ignore"):
-        big = np.zeros_like(gammas)  # largest square of each lane, NaN skipped
 
-        def sq(x):
+        def sq(x, flags, live):
+            # x squared; flags gets the live lanes where float ** 2 raises
+            # OverflowError, a finite x whose square is inf
             x2 = np.float_power(x, 2.0)
-            np.fmax(big, x2, out=big)
+            inf = np.isinf(x2)
+            if inf.any():
+                flags |= live & inf & np.isfinite(x)
             return x2
 
         # first_hop_distance
@@ -400,22 +360,31 @@ def _forward_rounds(s: Scenario, h: float, gammas: np.ndarray, n_uavs: int):
 
         # last_hop_max_distance
         divisor = gammas * s.p_msi * ch.eta_nlos
-        suspect = ~(divisor > 0.0)
+        raises = ok & ~(divisor > 0.0)
         radicand = rx_num / divisor - h2
         ok &= ~(radicand < 0.0)
         d_max = np.sqrt(radicand)
 
         # The system SIR is a running minimum over the links, Tx side first.
+        # A span's square raises on every lane still feasible: a lane still
+        # going squares it for its next middle hop, and one whose chain has
+        # reached D stays feasible and squares it scoring its links.  The
+        # other squares and divisors of the links raise only on a complete
+        # chain, so they gather in `scored` until the chain is.
+        scored = np.zeros_like(ok)
         span = X - consumed
-        span2 = sq(span)
-        sir = s.p_tx * (span2 + y2 + h2) / (s.p_msi * (sq(consumed) + h2))
+        span2 = sq(span, raises, ok)
+        d1_2 = sq(consumed, scored, True)
+        sir = s.p_tx * (span2 + y2 + h2) / (s.p_msi * (d1_2 + h2))
 
         # middle_hop_distance, one hop of every lane at a time
         am = q - gammas * s.p_msi / ch.eta_nlos
         q_am = q * am
         lin = np.abs(am) <= 1e-12 * q
+        quadratic = ~lin
         any_lin = bool(lin.any())
         finish_base = D - d_max
+        hops = [d1]
         for _ in range(1, n_uavs):
             going = ~(consumed >= D)  # lanes whose chain has not reached D
             cc = h2 + y2 + span2
@@ -426,7 +395,7 @@ def _forward_rounds(s: Scenario, h: float, gammas: np.ndarray, n_uavs: int):
             phi = np.where((span * s.p_uav != 0.0) & (span > phi_tol),
                            cc / span, math.inf)
             qs = q * span
-            disc = sq(qs) - q_am * cc
+            disc = sq(qs, raises, ok & going & quadratic) - q_am * cc
             root = np.sqrt(disc)
             r1 = (qs - root) / am
             r2 = (qs + root) / am
@@ -450,23 +419,27 @@ def _forward_rounds(s: Scenario, h: float, gammas: np.ndarray, n_uavs: int):
             d_k = np.where(0.0 > d_k, 0.0, d_k)
             d_k = np.where(remaining < d_k, remaining, d_k)
             d_k = np.where(going, d_k, 0.0)
+            hops.append(d_k)
             ok &= ~(going & bad)
             consumed = consumed + d_k
             span = X - consumed
-            span2 = sq(span)
+            span2 = sq(span, raises, ok)
             # The air link into this UAV, unless it is a stacked zero hop.
             link = d_k > 0.0
-            divisor = ch.mu_los * s.p_msi * sq(d_k)
-            suspect |= link & ~(divisor > 0.0)
+            divisor = ch.mu_los * s.p_msi * sq(d_k, scored, True)
+            scored |= link & ~(divisor > 0.0)
             air = s.p_uav * ch.eta_nlos * (span2 + y2 + h2) / divisor
             sir = np.where(link & (air < sir), air, sir)
 
         d_last = D - consumed
         d_last = np.where(0.0 > d_last, 0.0, d_last)
-        rx = rx_num / (ch.eta_nlos * s.p_msi * (sq(d_last) + h2))
+        hops.append(d_last)
+        d_last2 = sq(d_last, scored, True)
+        rx = rx_num / (ch.eta_nlos * s.p_msi * (d_last2 + h2))
         sir = np.where(rx < sir, rx, sir)
-        suspect |= np.isinf(big)
-    return ok, d1, consumed, d_max, sir, suspect
+        raises |= ok & scored
+    hops[0] = np.where(ok, d1, 0.0)
+    return hops, np.where(ok, sir, math.nan), ok & (D - consumed <= d_max), raises
 
 
 def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
@@ -479,43 +452,45 @@ def distributed_max_sir(s: Scenario, h: float, n_uavs: int, epsilon: float
     not monotone in the target, so the rounds run in order and the first
     that closes wins.
 
-    The first two rounds run one `_scalar_round` each; the rest run in
-    lockstep (`_forward_rounds`) over chunks of `LOCKSTEP_FIRST` targets,
-    doubling up to `LOCKSTEP_CHUNK`.  The answer, the placement and every
-    trace row are bit for bit those of one scalar round per target, and so
-    are the errors: a lattice can stall only when its second or third
-    target is asked for, which happens after the round before it is scored,
-    as in a scan of one round at a time; a lane the lockstep cannot vouch
-    for runs `_scalar_round`, which raises where the scalar scan raised.
+    The rounds run in lockstep (`_forward_rounds`) over chunks of
+    `LOCKSTEP_FIRST` targets, doubling up to `LOCKSTEP_CHUNK`.  The scan
+    ends at the first round, in target order, that closes, or that leaves
+    the float range, which raises NumericError.  A lattice that stalls
+    (epsilon below the float spacing of a target) ends its chunk: the
+    targets before the stall are scored, and its DomainError is raised only
+    when none of them ends the scan.
     """
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
     require_altitude(s, h)
-    D = s.distance_tx_rx
     gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
     trace = IterationTrace()
     targets = lowered_targets(gamma0, epsilon)
-    # Not fewer than two: see the stall rule above.
-    for gamma in itertools.islice(targets, 2):
-        first, sir, closes, hops = _scalar_round(s, h, gamma, n_uavs)
-        trace.append(gamma, first, sir)
-        if closes:
-            return gamma, Placement.uniform(hops, h), trace
-    size = LOCKSTEP_FIRST
-    while (gammas := np.fromiter(itertools.islice(targets, size), float)).size:
-        ok, first, consumed, d_max, sirs, suspect = _forward_rounds(
-            s, h, gammas, n_uavs)
-        closes = ok & (D - consumed <= d_max)
-        first = np.where(ok, first, 0.0)
-        sirs = np.where(ok, sirs, math.nan)
-        for j in np.flatnonzero(closes | suspect):
-            first[j], sirs[j], closed, hops = _scalar_round(
-                s, h, float(gammas[j]), n_uavs)
-            if closed:
-                trace.extend(gammas[:j + 1], first[:j + 1], sirs[:j + 1])
-                return float(gammas[j]), Placement.uniform(hops, h), trace
-        trace.extend(gammas, first, sirs)
+    size, stall = LOCKSTEP_FIRST, None
+    while stall is None:
+        gammas = []
+        try:
+            # extend keeps the targets yielded before a stall
+            gammas.extend(itertools.islice(targets, size))
+        except DomainError as err:
+            stall = err
+        if not gammas:
+            break
+        gammas = np.array(gammas, float)
+        hops, sirs, closes, raises = _forward_rounds(s, h, gammas, n_uavs)
+        ends = np.flatnonzero(closes | raises)
+        if ends.size:
+            j = ends[0]
+            gamma = float(gammas[j])
+            if raises[j]:
+                raise NumericError(
+                    f"the round at target {gamma!r} leaves the float range")
+            trace.extend(gammas[:j + 1], hops[0][:j + 1], sirs[:j + 1])
+            return gamma, Placement.uniform([d[j] for d in hops], h), trace
+        trace.extend(gammas, hops[0], sirs)
         size = min(2 * size, LOCKSTEP_CHUNK)
+    if stall is not None:
+        raise stall
     raise InfeasibleError("no target SIR closed the chain; span not coverable")
 
 

@@ -7,6 +7,7 @@ minimum chain size, and seeded random chains for baseline comparisons.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +24,9 @@ class GridSpec:
     nh: int
 
     def __post_init__(self):
+        for n in (self.nx, self.nh):
+            if not isinstance(n, numbers.Integral):
+                raise DomainError(f"grid sample counts must be integers, got {n!r}")
         if self.nx < 2 or self.nh < 2:
             raise DomainError("grid needs at least 2 samples per axis")
 
@@ -82,9 +86,8 @@ def _grid_pass(s: Scenario, grid: GridSpec) -> tuple[float, float, float, float]
 
     A call on the scenario and grid of the last call returns that call's
     answers.  Both match by identity: Scenario and GridSpec are frozen, and
-    identity neither hashes a float (a -0.0 or NaN field never matches
-    another scenario) nor equates GridSpec(500.0, 500), whose linspace
-    raises, with GridSpec(500, 500).  Under threads a race only misses.
+    identity hashes no float (a -0.0 or NaN field never matches another
+    scenario).  Under threads a race only misses.
     """
     global _LAST_PASS
     last = _LAST_PASS
@@ -148,8 +151,8 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
     starts and its SIR test on a suffix of that prefix.  A step is then a
     prefix-sum test per position, and memory grows with the number of
     positions, not its square.  gamma must be > 0 (a NaN raises
-    DomainError), and an altitude whose square overflows raises
-    NumericError.
+    DomainError), and an altitude, or (deterministic) an interferer offset
+    msi_y or msi_x - D, whose square overflows raises NumericError.
     """
     if planner_kind not in ("deterministic", "stochastic"):
         raise DomainError("planner_kind must be deterministic or stochastic")
@@ -179,9 +182,15 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
 
     det = planner_kind == "deterministic"
     if det:
-        first_ok = (s.p_tx * ((X - pos) ** 2 + Y ** 2 + h2)
+        try:
+            y2, xd2 = Y ** 2, (X - D) ** 2
+        except OverflowError:
+            raise NumericError(
+                f"the interferer's offsets square out of the float range: "
+                f"msi_y = {Y!r}, msi_x - D = {X - D!r}") from None
+        first_ok = (s.p_tx * ((X - pos) ** 2 + y2 + h2)
                     / (s.p_msi * (pos ** 2 + h2))) >= gamma
-        last_ok = (s.p_uav * ch.mu_nlos * ((X - D) ** 2 + Y ** 2)
+        last_ok = (s.p_uav * ch.mu_nlos * (xd2 + y2)
                    / (ch.eta_nlos * s.p_msi * ((D - pos) ** 2 + h2))) >= gamma
     else:
         ups = upsilon_field(model)

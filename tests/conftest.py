@@ -1,11 +1,16 @@
-"""Shared fixtures: channel presets, random scenario generators, YAML writer."""
+"""Shared fixtures: channel presets, random scenario generators, YAML writer,
+and the scalar forward-propagation round that references the lockstep scan."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 
-from uavrelay.channel import ChannelParams, Scenario
+from uavrelay.channel import ChannelParams, Scenario, sir_rx_link, sir_tx_link
+from uavrelay.errors import InfeasibleError
+from uavrelay.multihop import (first_hop_distance, last_hop_max_distance,
+                               middle_hop_distance)
 
 #: Default channel used across the suite (2 GHz carrier, standard excess losses).
 C_LOS = 10 ** 0.01
@@ -79,6 +84,77 @@ def edge_scenario(rng: random.Random, channel):
     if rng.random() < 0.1:
         s = dataclasses.replace(s, h_max=s.h_min)
     return s
+
+
+def _scan_args(rng: random.Random, s: Scenario, long_fleet: bool):
+    """(s, h, n, epsilon) of an epsilon scan of s: h uniform in the band,
+    n in 13-52 for a long fleet and 1-12 otherwise, epsilon = gamma0 / k
+    with k in 5-300, an exact divisor three times in ten."""
+    h = rng.uniform(s.h_min, s.h_max)
+    n = rng.randint(13, 52) if long_fleet else rng.randint(1, 12)
+    gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
+    k = rng.randint(5, 300)
+    exact = rng.random() < 0.3
+    return s, h, n, gamma0 / (k if exact else k + rng.random())
+
+
+def scan_draws(channel, seed, count):
+    """Conftest scenarios with their own h, n and epsilon = gamma0 / k.
+
+    One in ten has the interferer at x = 0 and one in ten at x = D; three
+    in ten epsilons divide gamma0 exactly, so the lattice ends on rounding
+    residue; one fleet in seven has 13-52 UAVs.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        s = random_scenario(rng, channel)
+        if i % 10 == 1:
+            s = dataclasses.replace(s, msi_x=0.0)
+        elif i % 10 == 2:
+            s = dataclasses.replace(s, msi_x=s.distance_tx_rx)
+        yield _scan_args(rng, s, i % 7 == 3)
+
+
+def edge_scan_draws(channel, ks):
+    """`_scan_args` of `edge_scenario(random.Random(k))` for each k in ks
+    whose start target gamma0 is a finite number (about two draws in three;
+    the others overflow, underflow or divide by zero computing it)."""
+    for k in ks:
+        rng = random.Random(k)
+        s = edge_scenario(rng, channel)
+        try:
+            args = _scan_args(rng, s, k % 7 == 3)
+        except (OverflowError, ZeroDivisionError):
+            continue
+        s, h = args[:2]
+        if math.isfinite(min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))):
+            yield args
+
+
+def forward_chain(s, h, gamma, n_uavs):
+    """One forward-propagation round: hop distances for a target SIR.
+
+    Returns None when some link cannot reach gamma at all.  This is the
+    scalar round that `distributed_max_sir` ran before every round moved
+    into its lockstep, kept verbatim as the reference of the lockstep and
+    of criterion 05's centralized sweep.
+    """
+    D = s.distance_tx_rx
+    try:
+        consumed = min(first_hop_distance(s, h, gamma), D)
+        d_max = last_hop_max_distance(s, h, gamma)
+        hops = [consumed]
+        for _ in range(1, n_uavs):
+            if consumed >= D:
+                hops.append(0.0)
+                continue
+            d_k, _ = middle_hop_distance(s, h, gamma, consumed, d_max)
+            d_k = min(max(d_k, 0.0), D - consumed)
+            hops.append(d_k)
+            consumed += d_k
+    except InfeasibleError:
+        return None
+    return hops, consumed, d_max
 
 
 def write_scenario_yaml(path, *, d=1000.0, msi_x=500.0, msi_y=400.0,

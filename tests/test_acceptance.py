@@ -27,16 +27,16 @@ from uavrelay.dualhop import (classify_case_fixed_h, locus_coefficients,
                               optimal_position, optimal_x_fixed_h,
                               quartic_roots_fixed_h)
 from uavrelay.errors import InfeasibleError
-from uavrelay.multihop import (_forward_chain, design_min_uavs,
-                               distributed_max_sir, feasibility_bound,
-                               refine_altitudes)
+from uavrelay.multihop import (design_min_uavs, distributed_max_sir,
+                               feasibility_bound, refine_altitudes)
 from uavrelay.multisource import InterferenceSource, fit_hypothetical_msi
 from uavrelay.oracle import (GridSpec, exhaustive_min_uavs, grid_search_dual,
                              lipschitz_slack, random_placement_baseline)
 from uavrelay.stochastic import (BetaField, beta_upsilon,
                                  design_min_uavs_stochastic)
 
-from conftest import make_scenario, random_scenario, write_scenario_yaml
+from conftest import (forward_chain, make_scenario, random_scenario,
+                      write_scenario_yaml)
 
 
 def report(num: int, ok: bool, detail: str = "") -> None:
@@ -198,7 +198,7 @@ def test_criterion_05_distributed_near_centralized(channel):
             violations.append(("iterations", i))
         best = 0.0
         for g in np.linspace(gamma0, gamma0 / 2000.0, 2000):
-            result = _forward_chain(s, h, float(g), n)
+            result = forward_chain(s, h, float(g), n)
             if result is None:
                 continue
             _, consumed, d_max = result

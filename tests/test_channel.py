@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uavrelay.channel import (ChannelParams, Scenario, SirReport, path_loss,
-                              sir_air_link, sir_rx_link, sir_tx_link,
-                              sir_system_dual, multihop_link_sirs, sir_multihop)
+from uavrelay.channel import (ChannelParams, Scenario, SirReport, sir_air_link,
+                              sir_rx_link, sir_tx_link, sir_system_dual,
+                              multihop_link_sirs, sir_multihop)
 from uavrelay.errors import DomainError
 from uavrelay.multihop import Placement
 
@@ -32,17 +32,6 @@ def test_from_coefficients_round_trip():
     assert [f.name for f in dataclasses.fields(ch)] == [
         "mu_los", "mu_nlos", "eta_nlos"]
     assert ch.nlos_over_eta == pytest.approx(3.5)
-
-
-def test_path_loss_kinds():
-    ch = ChannelParams.from_coefficients(2.0, 5.0, eta_nlos=4.0)
-    assert path_loss(ch, "los", 3.0) == pytest.approx(2.0 * 9.0)
-    assert path_loss(ch, "nlos", 3.0) == pytest.approx(5.0 * 9.0)
-    assert path_loss(ch, "air_ground", 3.0) == pytest.approx(4.0 * 9.0)
-    with pytest.raises(DomainError):
-        path_loss(ch, "foo", 1.0)
-    with pytest.raises(DomainError):
-        path_loss(ch, "los", 0.0)
 
 
 #: Valid keyword arguments of `ChannelParams.from_carrier`.

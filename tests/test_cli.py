@@ -532,6 +532,47 @@ def test_oracle_exhaustive_with_an_overflowing_altitude_square_exits_4(
     assert "Traceback" not in result.output
 
 
+def _readme_scenario(tmp_path, **values):
+    """The README's first scenario file with some `key: value` lines replaced."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = re.findall(r"```yaml\n(.*?)```", readme.read_text(), re.S)[0]
+    for key, value in values.items():
+        text, count = re.subn(rf"({key}: )\S+", rf"\g<1>{value}", text)
+        assert count == 1, key
+    path = tmp_path / "s.yaml"
+    path.write_text(text)
+    return path
+
+
+def test_oracle_exhaustive_with_an_overflowing_interferer_offset_exits_4(
+        runner, tmp_path):
+    """msi_y = 1e160: Y ** 2 of the deterministic oracle overflows a float."""
+    path = _readme_scenario(tmp_path, msi_y_m="1.0e+160")
+    result = runner.invoke(main, ["oracle-exhaustive", str(path),
+                                  "--gamma", "5", "--h", "20",
+                                  "--out", str(tmp_path / "ex")])
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert "square out of the float range" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["multihop-distributed", "refine-altitudes"])
+def test_distributed_round_out_of_the_float_range_exits_4(runner, tmp_path, command):
+    """A UAV power of 2.25e303 W: a middle hop's (q * span) ** 2 overflows
+    in a round of the epsilon scan, which is a numeric failure."""
+    path = _readme_scenario(
+        tmp_path, d_m=1283.51, msi_x_m=949.67, msi_y_m=1183.82, h_min_m=0.001,
+        h_max_m=100.0, p_tx_w=3.894, p_uav_w="2.25e+303", p_msi_w=7.672)
+    result = runner.invoke(main, [command, str(path), "--n-uavs", "9",
+                                  "--h", "20", "--out", str(tmp_path / "d")])
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert "leaves the float range" in result.output
+    assert "Traceback" not in result.output
+    assert not list(tmp_path.glob("d*"))
+
+
 def test_refine_eps_h_nan_exits_2(runner, scenario_file):
     result = runner.invoke(main, ["refine-altitudes", str(scenario_file),
                                   "--n-uavs", "3", "--h", "20",

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -12,21 +11,21 @@ import uavrelay.multihop as multihop
 from uavrelay.channel import (Scenario, multihop_link_sirs, sir_air_link,
                               sir_rx_link, sir_tx_link)
 from uavrelay.errors import DomainError, InfeasibleError, NumericError
-from uavrelay.multihop import (IterationTrace, Placement, _forward_chain,
-                               _forward_rounds, design_min_uavs,
+from uavrelay.multihop import (IterationTrace, Placement, _forward_rounds,
+                               design_min_uavs,
                                distributed_max_sir, feasibility_bound,
                                first_hop_distance, last_hop_max_distance,
                                lowered_targets, middle_hop_distance,
                                refine_altitudes)
 
-from conftest import make_scenario, random_scenario
+from conftest import (edge_scan_draws, forward_chain, make_scenario,
+                      random_scenario, scan_draws)
 
 
 def test_placement_helpers():
     p = Placement.uniform((100.0, 200.0, 700.0), 50.0)
     assert p.uav_count == 2
     assert p.altitudes == (50.0, 50.0)
-    assert p.positions() == [100.0, 300.0]
 
 
 def test_feasibility_bound_binds_every_chain(channel):
@@ -480,7 +479,7 @@ def reference_scan(s, h, n_uavs, epsilon):
     gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
     trace = IterationTrace()
     for gamma in lowered_targets(gamma0, epsilon):
-        result = _forward_chain(s, h, gamma, n_uavs)
+        result = forward_chain(s, h, gamma, n_uavs)
         if result is None:
             trace.append(gamma, 0.0, float("nan"))
             continue
@@ -493,47 +492,79 @@ def reference_scan(s, h, n_uavs, epsilon):
     raise InfeasibleError("no target SIR closed the chain; span not coverable")
 
 
+def scalar_round(s, h, gamma, n_uavs):
+    """One round of the scan: (d_1, system SIR, closes, hops) for one target.
+
+    A round where some link cannot reach gamma is (0.0, NaN, False, None).
+    The system SIR skips the zero hops of surplus UAVs stacked on one spot:
+    a zero hop is no link.  The scan's former scalar round, kept verbatim.
+    """
+    result = forward_chain(s, h, gamma, n_uavs)
+    if result is None:
+        return 0.0, math.nan, False, None
+    hops, consumed, d_max = result
+    D = s.distance_tx_rx
+    hops.append(max(D - consumed, 0.0))
+    links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
+    sir = min(multihop_link_sirs(s, links, h))
+    return hops[0], sir, D - consumed <= d_max, hops
+
+
+#: What a scalar round raises where it leaves the float range: a square
+#: that overflows, a divisor that underflows to zero, and a positive middle
+#: hop whose square underflows, which the link check calls coincident UAVs.
+FLOAT_RANGE_RAISES = (OverflowError, ZeroDivisionError, DomainError)
+LEAVES_FLOAT_RANGE = "leaves the float range"
+
+
+def leaves_float_range(exc):
+    if isinstance(exc, NumericError):
+        return LEAVES_FLOAT_RANGE in str(exc)
+    if isinstance(exc, DomainError):
+        return "coincident consecutive UAVs" in str(exc)
+    return isinstance(exc, FLOAT_RANGE_RAISES)
+
+
 def outcome(scan, *args):
-    """repr of (gamma, placement, the three trace lists), or the exception."""
+    """repr of (gamma, placement, the three trace lists), or the exception;
+    a round that leaves the float range is LEAVES_FLOAT_RANGE, whether the
+    lockstep raised NumericError or a scalar round raised."""
     try:
         gamma, placement, trace = scan(*args)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
-        return "raises " + repr(exc)
+        return LEAVES_FLOAT_RANGE if leaves_float_range(exc) else "raises " + repr(exc)
     return repr((gamma, placement, trace.gammas, trace.first_hops,
                  trace.system_sirs))
 
 
-def scan_draws(channel, seed, count):
-    """Conftest scenarios with their own h, n and epsilon = gamma0 / k.
-
-    One in ten has the interferer at x = 0 and one in ten at x = D; three
-    in ten epsilons divide gamma0 exactly, so the lattice ends on rounding
-    residue; one fleet in seven has 13-52 UAVs.
-    """
-    rng = random.Random(seed)
-    for i in range(count):
-        s = random_scenario(rng, channel)
-        if i % 10 == 1:
-            s = dataclasses.replace(s, msi_x=0.0)
-        elif i % 10 == 2:
-            s = dataclasses.replace(s, msi_x=s.distance_tx_rx)
-        h = rng.uniform(s.h_min, s.h_max)
-        n = rng.randint(13, 52) if i % 7 == 3 else rng.randint(1, 12)
-        gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
-        k = rng.randint(5, 300)
-        exact = rng.random() < 0.3
-        yield s, h, n, gamma0 / (k if exact else k + rng.random())
+def lattice(s, h, epsilon):
+    """The scan's targets, up to a stall or a bad epsilon."""
+    gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
+    gammas = []
+    try:
+        gammas.extend(lowered_targets(gamma0, epsilon))
+    except DomainError:
+        pass
+    return np.array(gammas, float)
 
 
 def test_distributed_is_bit_identical_to_the_scalar_scan(channel):
-    differ, raised = [], 0
-    for args in scan_draws(channel, 10, 400):
-        expected = outcome(reference_scan, *args)
-        raised += expected.startswith("raises")
-        if outcome(distributed_max_sir, *args) != expected:
-            differ.append(args)
-    assert not differ
-    assert 0 < raised < 40  # InfeasibleError on some draws, not most
+    """Every answer, InfeasibleError and stalled lattice as the scalar scan
+    gives it; where a scalar round raised, the scan raises NumericError."""
+    counts = []
+    for draws in (scan_draws(channel, 10, 400), edge_scan_draws(channel, range(600))):
+        differ, raised, left = [], 0, 0
+        for args in draws:
+            expected = outcome(reference_scan, *args)
+            raised += expected.startswith("raises")
+            left += expected == LEAVES_FLOAT_RANGE
+            if outcome(distributed_max_sir, *args) != expected:
+                differ.append(args)
+        assert not differ
+        counts.append((raised, left))
+    (raised, left), (edge_raised, edge_left) = counts
+    assert 0 < raised < 40 and left == 0  # InfeasibleError on some draws, not most
+    assert edge_raised > 0 and edge_left > 0
 
 
 def test_distributed_long_scans_are_bit_identical(channel):
@@ -552,7 +583,7 @@ def test_distributed_long_scans_are_bit_identical(channel):
 
 
 def test_distributed_chunks_double_up_to_the_cap(channel, monkeypatch):
-    """Two scalar rounds, then LOCKSTEP_FIRST targets doubling to the cap."""
+    """LOCKSTEP_FIRST targets, doubling up to the cap."""
     sizes = []
 
     def forward_rounds(s, h, gammas, n_uavs):
@@ -567,7 +598,7 @@ def test_distributed_chunks_double_up_to_the_cap(channel, monkeypatch):
         size = min(2 * size, multihop.LOCKSTEP_CHUNK)
     assert multihop.LOCKSTEP_CHUNK in sizes
     assert sizes[:-1] == asked[:-1] and sizes[-1] <= asked[-1]
-    assert 2 + sum(sizes[:-1]) < len(trace.gammas) <= 2 + sum(sizes)
+    assert sum(sizes[:-1]) < len(trace.gammas) <= sum(sizes)
 
 
 def test_distributed_closes_on_the_second_target_before_a_stall(channel, monkeypatch):
@@ -587,24 +618,26 @@ def test_distributed_closes_on_the_second_target_before_a_stall(channel, monkeyp
 
 
 def test_forward_rounds_match_forward_chain_lane_by_lane(channel):
-    for s, h, n, epsilon in scan_draws(channel, 12, 60):
-        D = s.distance_tx_rx
-        gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
-        gammas = np.fromiter(lowered_targets(gamma0, epsilon), float)
-        ok, d1, consumed, d_max, sirs, suspect = _forward_rounds(s, h, gammas, n)
-        assert not suspect.any()
+    """Each lane's hops, d_1, SIR and closing are its scalar round's, and
+    a lane is flagged exactly when its scalar round raises."""
+    draws = [*scan_draws(channel, 12, 60), *edge_scan_draws(channel, range(300))]
+    flagged = 0
+    for s, h, n, epsilon in draws:
+        gammas = lattice(s, h, epsilon)
+        hops, sirs, closes, raises = _forward_rounds(s, h, gammas, n)
+        flagged += int(raises.sum())
         for j, gamma in enumerate(gammas.tolist()):
-            result = _forward_chain(s, h, gamma, n)
-            assert ok[j] == (result is not None)
-            if result is None:
+            try:
+                first, sir, closed, chain = scalar_round(s, h, gamma, n)
+            except FLOAT_RANGE_RAISES as exc:
+                assert leaves_float_range(exc) and raises[j]
                 continue
-            hops, used, top = result
-            assert repr((d1[j], consumed[j], d_max[j])) == repr(
-                (np.float64(hops[0]), np.float64(used), np.float64(top)))
-            hops.append(max(D - used, 0.0))
-            links = [hops[0], *[d for d in hops[1:-1] if d > 0.0], hops[-1]]
-            assert repr(sirs[j]) == repr(
-                np.float64(min(multihop_link_sirs(s, links, h))))
+            assert not raises[j]
+            assert repr((hops[0][j], sirs[j], closes[j])) == repr(
+                (np.float64(first), np.float64(sir), np.bool_(closed)))
+            if chain is not None:
+                assert repr([float(d[j]) for d in hops]) == repr(chain)
+    assert flagged > 0
 
 
 _WIDE = st.floats(allow_nan=False, allow_infinity=False)
@@ -642,7 +675,7 @@ def test_distributed_returns_the_first_closing_round(channel):
     gammas = list(lowered_targets(gamma0, gamma0 / 100.0))
 
     def closes(gamma):
-        result = _forward_chain(s, h, gamma, n)
+        result = forward_chain(s, h, gamma, n)
         return result is not None and s.distance_tx_rx - result[1] <= result[2]
 
     assert not any(closes(g) for g in gammas[:90])
@@ -680,28 +713,37 @@ RAISING_ROUNDS = [
 @pytest.mark.parametrize("n, h, epsilon, values", RAISING_ROUNDS)
 def test_distributed_raises_where_the_scalar_scan_raises(
         channel, n, h, epsilon, values):
+    """Where the scalar scan raised OverflowError or the link check's
+    DomainError, the scan raises NumericError at the same round, and the
+    lockstep flags exactly the rounds that raised."""
     s = Scenario(*values, channel)
-    expected = outcome(reference_scan, s, h, n, epsilon)
-    assert expected.startswith("raises ") and "Infeasible" not in expected
-    assert outcome(distributed_max_sir, s, h, n, epsilon) == expected
-    # Every lane whose scalar round raises is handed over by the lockstep.
-    gamma0 = min(sir_tx_link(s, 0.0, h), sir_rx_link(s, 0.0, h))
-    gammas = np.fromiter(lowered_targets(gamma0, epsilon), float)
-    suspect = _forward_rounds(s, h, gammas, n)[5]
+    with pytest.raises(FLOAT_RANGE_RAISES) as scalar:
+        reference_scan(s, h, n, epsilon)
+    assert leaves_float_range(scalar.value)
+    gammas = lattice(s, h, epsilon)
+    raises = _forward_rounds(s, h, gammas, n)[3]
     raising = []
     for j, gamma in enumerate(gammas.tolist()):
         try:
-            multihop._scalar_round(s, h, gamma, n)
-        except (OverflowError, DomainError):
+            scalar_round(s, h, gamma, n)
+        except FLOAT_RANGE_RAISES:
             raising.append(j)
-    assert raising and suspect[raising].all()
+    assert raising and np.flatnonzero(raises).tolist() == raising
+    with pytest.raises(NumericError) as lockstep:
+        distributed_max_sir(s, h, n, epsilon)
+    assert str(lockstep.value) == (f"the round at target {gammas[raising[0]].item()!r}"
+                                   f" {LEAVES_FLOAT_RANGE}")
 
 
-def test_forward_rounds_flag_a_divisor_that_underflows(channel):
+def test_forward_rounds_flag_a_divisor_that_underflows(channel, monkeypatch):
     """At a target of 5e-324 the last-hop divisor gamma p_msi eta is 0.0;
-    the scalar round divides by it, so the lockstep hands the lane over."""
+    the scalar round divided by it, and the scan raises NumericError."""
     s = make_scenario(channel, p_msi=0.1)
-    suspect = _forward_rounds(s, 20.0, np.array([1.0, 5e-324]), 3)[5]
-    assert suspect.tolist() == [False, True]
+    raises = _forward_rounds(s, 20.0, np.array([1.0, 5e-324]), 3)[3]
+    assert raises.tolist() == [False, True]
     with pytest.raises(ZeroDivisionError):
-        multihop._scalar_round(s, 20.0, 5e-324, 3)
+        scalar_round(s, 20.0, 5e-324, 3)
+    monkeypatch.setattr(multihop, "lowered_targets",
+                        lambda gamma0, epsilon: iter([5e-324]))
+    with pytest.raises(NumericError, match=LEAVES_FLOAT_RANGE):
+        distributed_max_sir(s, 20.0, 3, 0.1)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import sys
 import threading
@@ -26,6 +27,13 @@ from conftest import C_LOS, C_NLOS, edge_scenario, make_scenario, random_scenari
 def test_gridspec_validation():
     with pytest.raises(DomainError):
         GridSpec(1, 10)
+    # Sample counts are integers, numpy's too; a float count would reach
+    # np.linspace and raise TypeError there.
+    for nx, nh in ((500.0, 500), (500, 2.5), (math.nan, 5), ("500", 500),
+                   (None, 500)):
+        with pytest.raises(DomainError, match="must be integers"):
+            GridSpec(nx, nh)
+    assert GridSpec(np.int64(21), np.int32(5)) == GridSpec(21, 5)
 
 
 def test_grid_search_matches_manual_argmax(channel):
@@ -280,6 +288,19 @@ def test_exhaustive_altitude_whose_square_overflows(channel):
             exhaustive_min_uavs(kind, s, 1e160, 5.0, model=model)
 
 
+@pytest.mark.parametrize("d, msi_x, msi_y", [(1000.0, 500.0, 1e160),
+                                             (1e160, 0.0, 400.0)])
+def test_exhaustive_interferer_offset_whose_square_overflows(channel, d, msi_x, msi_y):
+    """Y ** 2 or (X - D) ** 2 overflows a float: the deterministic oracle
+    raises NumericError; the stochastic one squares neither."""
+    s = make_scenario(channel, d=d, msi_x=msi_x, msi_y=msi_y)
+    with pytest.raises(NumericError, match="square out of the float range"):
+        exhaustive_min_uavs("deterministic", s, 20.0, 5.0)
+    model = BetaField(3.0, 1.0, 1.0, 100.0)
+    with np.errstate(over="ignore"):  # squares of a 1e160 m span's grid
+        exhaustive_min_uavs("stochastic", s, 20.0, 1e-30, model=model)
+
+
 def test_exhaustive_stochastic_runs(channel):
     s = make_scenario(channel, d=200.0, msi_x=100.0, msi_y=50.0)
     model = BetaField(3.0, 1.0, 1.0, 100.0)
@@ -446,6 +467,10 @@ def test_interval_search_equals_the_dense_search(seed):
         try:
             return repr(oracle(kind, s, h, gamma, n_max, per_hop_grid,
                                model=model))
+        except OverflowError:  # the dense oracle's float squares
+            return "raised NumericError"
+        except NumericError as exc:
+            return "raised NumericError" if "float range" in str(exc) else repr(exc)
         except Exception as exc:
             return f"raised {exc!r}"
 
