@@ -60,6 +60,18 @@ seeds 0 to N - 1 whose start target is finite, where rounds leave the
 float range.  An answer is the target, the placement, the round count and
 the SHA-256 of the trace rows.
 
+The `stochastic` corpus asks `single_uav_position`,
+`design_min_uavs_stochastic` and `distributed_max_esir` (answered as the
+`distributed` corpus answers, the trace rows by SHA-256),
+`expected_multihop_link_sirs` and `upsilon` at six positions.  It takes the
+benchmark's stochastic operations (`interference_fields`, seeds 1501-1510,
+with the arguments the benchmark passes), criterion-09-style draws and
+`edge_scenario` draws, each under the next field of `FIELD_KINDS` (the
+CLI's knot fields built by `cli._parse_field`), with a target at a share
+of the Rx-side cap, epsilon = cap / k and 1 to 12 UAVs (MGF fields: 5-40
+rounds and 1-4 UAVs), and one design that no chain within the UAV cap
+closes.
+
 `--draws N` takes at most N refinements or scenarios from each part of the
 corpus, and the benchmark designs or scans of at most N seeds.
 """
@@ -69,6 +81,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -403,8 +416,138 @@ def distributed_corpus(draws: int):
             yield asked(f"edge draw {k}", args, {})
 
 
+def trace_rows(trace):
+    """The round count and the SHA-256 of a planner trace's rows' repr."""
+    rows = repr((trace.gammas, trace.first_hops, trace.system_sirs))
+    return len(trace.gammas), hashlib.sha256(rows.encode()).hexdigest()
+
+
+#: Interference fields of the stochastic corpus's draws, one per draw in turn.
+FIELD_KINDS = ("beta", "beta rising", "deterministic", "deterministic callable",
+               "gamma mgf", "beta_knots", "tabulated_upsilon")
+
+
+def stochastic_corpus(draws: int):
+    """(label, thunk) pairs; each thunk asks one stochastic planner, the
+    expected link SIRs or Upsilon itself one question."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    sys.path.insert(0, str(REPO / "tests"))
+    import workloads
+    from conftest import edge_scenario
+    from uavrelay.channel import ChannelParams, Scenario
+    from uavrelay.cli import _parse_field
+    from uavrelay.stochastic import (BetaField, DeterministicField,
+                                     design_min_uavs_stochastic,
+                                     distributed_max_esir,
+                                     expected_multihop_link_sirs,
+                                     single_uav_position, upsilon)
+
+    def single(model, s, h, epsilon):
+        x, esir, trace = single_uav_position(model, s, h, epsilon)
+        return (x, esir) + trace_rows(trace)
+
+    def esir(model, s, h, n, epsilon):
+        gamma, placement, trace = distributed_max_esir(model, s, h, n, epsilon)
+        return (gamma, placement) + trace_rows(trace)
+
+    def asked(label, fn, *args):
+        return label, lambda: fn(*args)
+
+    # The benchmark's stochastic operations, as it asks them.
+    for kind, target, ask in (("single_beta", single_uav_position, single),
+                              ("single_mgf", single_uav_position, single),
+                              ("distributed_max_esir_beta", distributed_max_esir, esir),
+                              ("distributed_max_esir_mgf", distributed_max_esir, esir),
+                              ("stochastic_design", design_min_uavs_stochastic,
+                               design_min_uavs_stochastic)):
+        for label, args, _ in benchmark_calls(workloads.interference_fields, kind,
+                                              target, BENCH_SEEDS[:draws]):
+            yield asked(label, ask, *args)
+
+    def field(rng, span, kind):
+        if kind == "beta":
+            return BetaField(rng.uniform(1.5, 8.0), rng.uniform(0.5, 8.0),
+                             10.0 ** rng.uniform(-2.0, 1.0), 100.0)
+        if kind == "beta rising":
+            a0, a1 = rng.uniform(1.5, 4.0), rng.uniform(0.0, 4.0)
+            return BetaField(lambda x: a0 + a1 * x / span, rng.uniform(0.5, 8.0),
+                             10.0 ** rng.uniform(-2.0, 1.0), 100.0)
+        if kind == "deterministic":
+            return DeterministicField(10.0 ** rng.uniform(-3.0, 3.0), 100.0)
+        if kind == "deterministic callable":
+            c0, c1 = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-0.5, 2.0)
+            return DeterministicField(lambda x: c0 * (1.0 + c1 * x / span), 100.0)
+        if kind == "gamma mgf":
+            return workloads.gamma_field(rng, span)[0]
+        knots = sorted(rng.uniform(0.0, span) for _ in range(rng.randint(0, 3)))
+        x_m = [0.0] + knots + [span]
+        if kind == "beta_knots":
+            return _parse_field({
+                "variant": kind, "x_m": x_m, "i_max_w": 10.0 ** rng.uniform(-2.0, 1.0),
+                "alpha": [rng.uniform(1.5, 8.0) for _ in x_m],
+                "beta": [rng.uniform(0.5, 8.0) for _ in x_m], "altitude_m": 100.0})
+        return _parse_field({
+            "variant": kind, "x_m": x_m, "altitude_m": 100.0,
+            "upsilon": [10.0 ** rng.uniform(-3.0, 3.0) for _ in x_m]})
+
+    def questions(label, rng, s, h, kind):
+        """Upsilon, the three planners and the expected links at scenario
+        s and altitude h, under a field of this kind.  The MGF field's
+        Upsilon is a 289-node quadrature per position, so its scans are
+        short."""
+        D = s.distance_tx_rx
+        model = field(rng, D, kind)
+        label = f"{label} ({kind})"
+        try:
+            cap = upsilon(model, D) * s.p_uav / (s.channel.eta_nlos * h ** 2)
+        except Exception:  # a scenario whose cap fails gets a plain target
+            cap = 1.0
+        if not 0.0 < cap < math.inf:
+            cap = 1.0
+        rounds = rng.randint(5, 40 if kind == "gamma mgf" else 300)
+        n = rng.randint(1, 4 if kind == "gamma mgf" else 12)
+        hops = [D * w for w in (rng.random() for _ in range(n + 1))]
+        hops = [d * D / sum(hops) for d in hops]
+        if n > 1 and rng.random() < 0.1:
+            hops[rng.randint(1, n - 1)] = 0.0  # a middle hop of length zero
+        xs = (0.0, D / 3.0, D, rng.uniform(0.0, D), -D, 2.0 * D)
+        yield asked(f"{label}: upsilon", lambda: [upsilon(model, x) for x in xs])
+        yield asked(f"{label}: design_min_uavs_stochastic",
+                    design_min_uavs_stochastic, model, s, h,
+                    cap * rng.uniform(0.05, 1.0))
+        yield asked(f"{label}: single_uav_position", single, model, s, h,
+                    cap / rounds)
+        yield asked(f"{label}: distributed_max_esir", esir, model, s, h, n,
+                    cap / rounds)
+        yield asked(f"{label}: expected_multihop_link_sirs",
+                    expected_multihop_link_sirs, model, s, hops, h)
+
+    ch = workloads.readme_channel()
+    kinds = itertools.cycle(FIELD_KINDS)
+    for k in range(draws):
+        rng = random.Random(k)
+        s, h = workloads.criterion09_draw(rng, ch)[:2]
+        yield from questions(f"criterion 09 draw {k}", rng, s, h, next(kinds))
+
+    for k in range(draws):
+        rng = random.Random(k)
+        s = edge_scenario(rng, ch)
+        h = rng.uniform(s.h_min, s.h_max)
+        yield from questions(f"edge draw {k}", rng, s, h, next(kinds))
+
+    # A design that no chain within the UAV cap closes: every n and rho runs.
+    s = Scenario(300.0, 150.0, 50.0, 1.0, 1.0, 1.0, 1.0, 100.0,
+                 ChannelParams.from_carrier(2.4e9, 1.0, 10.0))
+    model = BetaField(lambda x: 2.0 + x / 300.0, 2.0, 1.0, 100.0)
+    gamma = (0.999 * upsilon(model, 300.0) * s.p_uav
+             / (s.channel.eta_nlos * 10.0 ** 2))
+    yield asked("design past the UAV cap", design_min_uavs_stochastic,
+                model, s, 10.0, gamma)
+
+
 CORPORA = {"refine_altitudes": refine_corpus, "dualhop": dualhop_corpus,
-           "exhaustive": exhaustive_corpus, "distributed": distributed_corpus}
+           "exhaustive": exhaustive_corpus, "distributed": distributed_corpus,
+           "stochastic": stochastic_corpus}
 
 
 def emit(planner: str, draws: int) -> None:

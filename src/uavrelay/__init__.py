@@ -20,10 +20,9 @@ from .multisource import (HypotheticalMsi, InterferenceSource,
 from .oracle import (BaselineStats, GridSpec, exhaustive_min_uavs,
                      grid_search_dual, lipschitz_slack,
                      random_placement_baseline)
-from .stochastic import (BetaField, DeterministicField, EmpiricalField,
-                         InterferenceModel, MgfField, beta_upsilon,
-                         design_min_uavs_stochastic, distributed_max_esir,
-                         expected_multihop_link_sirs, single_uav_position,
-                         upsilon, upsilon_field)
+from .stochastic import (BetaField, DeterministicField, InterferenceModel,
+                         MgfField, beta_upsilon, design_min_uavs_stochastic,
+                         distributed_max_esir, expected_multihop_link_sirs,
+                         single_uav_position, upsilon)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

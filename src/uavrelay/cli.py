@@ -131,15 +131,15 @@ def _parse_field(raw) -> InterferenceModel:
         raise SchemaError(f"{name}.x_m must be strictly increasing")
     if variant == "beta_knots":
         alpha, beta = v["alpha"], v["beta"]
-        return BetaField(lambda x: float(np.interp(x, xs, alpha)),
-                         lambda x: float(np.interp(x, xs, beta)),
+        return BetaField(lambda x: np.interp(x, xs, alpha),
+                         lambda x: np.interp(x, xs, beta),
                          v["i_max_w"], v["altitude_m"])
     # tabulated_upsilon: store as a deterministic level 1/Upsilon(x), which
     # reproduces the same expected SIRs.  Upsilon = E(1/I) is finite and > 0.
     ups = v["upsilon"]
     if not np.all((ups > 0.0) & np.isfinite(ups)):
         raise SchemaError(f"{name}.upsilon knots must be finite and > 0")
-    return DeterministicField(lambda x: 1.0 / float(np.interp(x, xs, ups)),
+    return DeterministicField(lambda x: 1.0 / np.interp(x, xs, ups),
                               v["altitude_m"])
 
 

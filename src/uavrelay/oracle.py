@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import Scenario, multihop_link_sirs, require_altitude
 from .errors import DomainError, InfeasibleError, NumericError
-from .stochastic import InterferenceModel, upsilon_field
+from .stochastic import InterferenceModel, upsilon
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,10 @@ def exhaustive_min_uavs(planner_kind: str, s: Scenario, h: float,
         last_ok = (s.p_uav * ch.mu_nlos * (xd2 + y2)
                    / (ch.eta_nlos * s.p_msi * ((D - pos) ** 2 + h2))) >= gamma
     else:
-        ups = upsilon_field(model)
-        ups_pos = np.array([ups(float(p)) for p in pos])
+        ups = upsilon(model, np.append(pos, D))  # the grid, then the Rx
+        ups_pos = ups[:-1]
         first_ok = (ups_pos * s.p_tx / (ch.eta_nlos * (pos ** 2 + h2))) >= gamma
-        last_ok = (ups(D) * s.p_uav
+        last_ok = (ups[-1] * s.p_uav
                    / (ch.eta_nlos * ((D - pos) ** 2 + h2))) >= gamma
     if bool(np.any(first_ok & last_ok)):
         return 1  # one UAV suffices: no need for the hop runs

@@ -2,25 +2,26 @@
 
 The interference power at horizontal position x is a random variable I_x;
 all planners work with expected SIRs, which factor into a deterministic
-signal term times Upsilon_x = E(1/I_x).  Four field variants are supported:
+signal term times Upsilon_x = E(1/I_x).  Three field variants are supported:
 a degenerate (deterministic) level, a scaled Beta distribution with a
-closed-form Upsilon, a moment generating function M whose Upsilon_x =
+closed-form Upsilon, and a moment generating function M whose Upsilon_x =
 integral of M(-y) dy over [0, inf) is taken by Takahasi & Mori's (1974)
-exp-sinh (double-exponential) rule, and raw per-position sample sets.
+exp-sinh (double-exponential) rule.  Measured Upsilon values enter as a
+deterministic level 1/Upsilon (the CLI's `tabulated_upsilon`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .channel import Scenario, require_altitude, require_positive
 from .errors import DomainError, InfeasibleError, NumericError
 from .multihop import DesignResult, IterationTrace, Placement, lowered_targets
 
-EMPIRICAL_MIN_SAMPLES = 1000
 D1_SCAN_POINTS = 4096
 RHO_STEPS = 64
 DESIGN_N_CAP = 512
@@ -33,22 +34,16 @@ _EXP_SINH_WEIGHTS = [math.pi / 64.0 * math.cosh(k / 32.0 - 4.5) * y
                      for k, y in enumerate(_EXP_SINH_NODES)]
 
 
-def _as_fn(value) -> Callable[[float], float]:
-    if callable(value):
-        return value
-    return lambda _x, _v=float(value): _v
-
-
 @dataclass(frozen=True)
 class DeterministicField:
     """Degenerate field: interference power is a known level c(x)."""
 
-    power: Union[float, Callable[[float], float]]
+    power: Union[float, Callable]  # c, or c(x) of a float or a numpy array
     altitude: float
 
-    def upsilon_at(self, x: float) -> float:
-        c = _as_fn(self.power)(x)
-        if c <= 0.0:
+    def upsilon_at(self, x):
+        c = self.power(x) if callable(self.power) else self.power
+        if not isinstance(c, np.ndarray) and c <= 0.0:
             raise DomainError("deterministic interference level must be > 0")
         return 1.0 / c
 
@@ -57,13 +52,14 @@ class DeterministicField:
 class BetaField:
     """Interference scaled-Beta distributed: I_x = I_max * Beta(a(x), b(x))."""
 
-    alpha: Union[float, Callable[[float], float]]
-    beta: Union[float, Callable[[float], float]]
+    alpha: Union[float, Callable]  # a, or a(x) of a float or a numpy array
+    beta: Union[float, Callable]
     i_max: float
     altitude: float
 
-    def upsilon_at(self, x: float) -> float:
-        return beta_upsilon(_as_fn(self.alpha)(x), _as_fn(self.beta)(x),
+    def upsilon_at(self, x):
+        return beta_upsilon(self.alpha(x) if callable(self.alpha) else self.alpha,
+                            self.beta(x) if callable(self.beta) else self.beta,
                             self.i_max)
 
 
@@ -74,7 +70,10 @@ class MgfField:
     mgf: Callable[[float, float], float]  # (x, t) -> M_{I_x}(t)
     altitude: float
 
-    def upsilon_at(self, x: float) -> float:
+    def upsilon_at(self, x):
+        if isinstance(x, np.ndarray):  # mgf may take floats only
+            return np.array([self.upsilon_at(v) for v in x.ravel().tolist()]
+                            ).reshape(x.shape)
         terms = [w * self.mgf(x, -y)
                  for y, w in zip(_EXP_SINH_NODES, _EXP_SINH_WEIGHTS)]
         fine = sum(terms)
@@ -89,52 +88,47 @@ class MgfField:
         return fine
 
 
-@dataclass(frozen=True)
-class EmpiricalField:
-    """Field estimated from interference power samples binned along x."""
-
-    bin_edges: tuple[float, ...]
-    samples: tuple[tuple[float, ...], ...]
-    altitude: float
-
-    def __post_init__(self):
-        if len(self.bin_edges) != len(self.samples) + 1:
-            raise DomainError("need len(bin_edges) == len(samples) + 1")
-        if any(b <= a for a, b in zip(self.bin_edges, self.bin_edges[1:])):
-            raise DomainError("bin_edges must be strictly increasing")
-
-    def upsilon_at(self, x: float) -> float:
-        if not (self.bin_edges[0] <= x <= self.bin_edges[-1]):
-            raise DomainError(f"x={x:g} outside the sampled range")
-        idx = min(max(0, sum(1 for e in self.bin_edges[1:-1] if x >= e)),
-                  len(self.samples) - 1)
-        bin_samples = self.samples[idx]
-        if len(bin_samples) < EMPIRICAL_MIN_SAMPLES:
-            raise DomainError(
-                f"bin {idx} holds {len(bin_samples)} samples; "
-                f"reciprocal means need at least {EMPIRICAL_MIN_SAMPLES}")
-        return sum(1.0 / v for v in bin_samples) / len(bin_samples)
+InterferenceModel = Union[DeterministicField, BetaField, MgfField]
 
 
-InterferenceModel = Union[DeterministicField, BetaField, MgfField,
-                          EmpiricalField]
+def upsilon(model: InterferenceModel, x):
+    """Expected reciprocal interference E(1/I_x) at horizontal position x.
+
+    x is a float, and the answer a float, or a numpy array of positions,
+    and the answer an array of its shape whose every lane is the float
+    answer at that position.  Upsilon must be finite and > 0: where it is
+    not, or where the field raises, an array raises the error that the
+    float calls, made in order, raise first.
+    """
+    if not isinstance(x, np.ndarray):
+        value = model.upsilon_at(x)
+        if not (value > 0.0 and math.isfinite(value)):
+            raise NumericError(f"Upsilon at x={x:g} is not a positive finite value")
+        return float(value)
+    try:
+        with np.errstate(all="ignore"):
+            values = np.array(np.broadcast_to(model.upsilon_at(x), x.shape),
+                              dtype=float)
+        if np.all((values > 0.0) & (values < math.inf)):
+            return values
+    except Exception:  # the float calls below raise it at its position
+        pass
+    return np.array([upsilon(model, v) for v in x.ravel().tolist()]
+                    ).reshape(x.shape)
 
 
-def upsilon(model: InterferenceModel, x: float) -> float:
-    """Expected reciprocal interference E(1/I_x) at horizontal position x."""
-    value = model.upsilon_at(x)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise NumericError(f"Upsilon at x={x:g} is not a positive finite value")
-    return value
+def beta_upsilon(alpha, beta, i_max: float):
+    """E(1/I) of I = i_max * Beta(alpha, beta): (alpha+beta-1)/((alpha-1)*i_max).
 
-
-def upsilon_field(model: InterferenceModel) -> Callable[[float], float]:
-    """Memoizing x -> Upsilon_x evaluator of an interference model."""
-    return lru_cache(maxsize=None)(lambda x: upsilon(model, x))
-
-
-def beta_upsilon(alpha: float, beta: float, i_max: float) -> float:
-    """E(1/I) of I = i_max * Beta(alpha, beta): (alpha+beta-1)/((alpha-1)*i_max)."""
+    alpha and beta are floats, or numpy arrays that answer lane by lane.
+    """
+    if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
+        fails = (alpha <= 1.0) | (beta <= 0.0) | (i_max <= 0.0)
+        if np.any(fails):  # raise as the float call at the first failing lane
+            a, b = (np.broadcast_to(v, fails.shape).flat[np.argmax(fails)]
+                    for v in (alpha, beta))
+            beta_upsilon(float(a), float(b), i_max)
+        return (alpha + beta - 1.0) / ((alpha - 1.0) * i_max)
     if alpha <= 1.0:
         raise NumericError(
             f"E(1/I) diverges for a Beta field with alpha={alpha:g} <= 1")
@@ -143,43 +137,40 @@ def beta_upsilon(alpha: float, beta: float, i_max: float) -> float:
     return (alpha + beta - 1.0) / ((alpha - 1.0) * i_max)
 
 
-def _e_tx_link(ups: Callable[[float], float], s: Scenario, d1: float,
-               h: float) -> float:
+def _e_tx_link(ups: float, s: Scenario, d1: float, h: float) -> float:
     """Expected SIR of the Tx -> UAV link, the UAV at distance d1, altitude h."""
-    return ups(d1) * s.p_tx / (s.channel.eta_nlos * (d1 ** 2 + h ** 2))
+    return ups * s.p_tx / (s.channel.eta_nlos * (d1 ** 2 + h ** 2))
 
 
-def _e_air_link(ups: Callable[[float], float], s: Scenario, pos: float,
-                d_k: float) -> float:
-    """Expected SIR of a UAV -> UAV hop of length d_k ending at position pos."""
-    return ups(pos) * s.p_uav / (s.channel.mu_los * d_k ** 2)
+def _e_air_link(ups: float, s: Scenario, d_k: float) -> float:
+    """Expected SIR of a UAV -> UAV hop of length d_k, Upsilon ups at its end."""
+    return ups * s.p_uav / (s.channel.mu_los * d_k ** 2)
 
 
-def _e_rx_link(ups: Callable[[float], float], s: Scenario, d_last: float,
-               h: float) -> float:
+def _e_rx_link(ups_d: float, s: Scenario, d_last: float, h: float) -> float:
     """Expected SIR of the UAV -> Rx link, the UAV d_last short of the Rx."""
-    return (ups(s.distance_tx_rx) * s.p_uav
-            / (s.channel.eta_nlos * (d_last ** 2 + h ** 2)))
+    return ups_d * s.p_uav / (s.channel.eta_nlos * (d_last ** 2 + h ** 2))
 
 
-def _e_links(ups: Callable[[float], float], s: Scenario,
-             hops: Sequence[float], h: float) -> list[float]:
-    """Expected per-link SIRs of a uniform-altitude chain, given the memo."""
-    links = [_e_tx_link(ups, s, hops[0], h)]
+def _e_links(model: InterferenceModel, s: Scenario, hops: Sequence[float],
+             h: float) -> list[float]:
+    """Expected SIRs of the first and the middle links of a uniform-altitude
+    chain; the Rx-side link is the caller's."""
+    links = [_e_tx_link(upsilon(model, hops[0]), s, hops[0], h)]
     pos = hops[0]
     for d_k in hops[1:-1]:
         if d_k <= 0.0:
             raise DomainError("middle hop distance must be > 0")
         pos += d_k
-        links.append(_e_air_link(ups, s, pos, d_k))
-    links.append(_e_rx_link(ups, s, hops[-1], h))
+        links.append(_e_air_link(upsilon(model, pos), s, d_k))
     return links
 
 
 def expected_multihop_link_sirs(model: InterferenceModel, s: Scenario,
                                 hops: Sequence[float], h: float) -> list[float]:
     """Expected per-link SIRs of a uniform-altitude chain under the field."""
-    return _e_links(upsilon_field(model), s, hops, h)
+    links = _e_links(model, s, hops, h)
+    return links + [_e_rx_link(upsilon(model, s.distance_tx_rx), s, hops[-1], h)]
 
 
 def single_uav_position(model: InterferenceModel, s: Scenario, h: float,
@@ -193,13 +184,13 @@ def single_uav_position(model: InterferenceModel, s: Scenario, h: float,
     """
     require_altitude(s, h)
     D = s.distance_tx_rx
-    ups = upsilon_field(model)
-    gamma_max = _e_rx_link(ups, s, 0.0, h)
-    gamma_min = _e_rx_link(ups, s, D, h)
+    ups_d = upsilon(model, D)
+    gamma_max = _e_rx_link(ups_d, s, 0.0, h)
+    gamma_min = _e_rx_link(ups_d, s, D, h)
     trace = IterationTrace()
     for gamma in lowered_targets(gamma_max, epsilon):
-        x = D - math.sqrt(max(_rx_radicand(ups, s, h, gamma), 0.0))
-        e1 = _e_tx_link(ups, s, x, h)
+        x = D - math.sqrt(max(_rx_radicand(ups_d, s, h, gamma), 0.0))
+        e1 = _e_tx_link(upsilon(model, x), s, x, h)
         trace.append(gamma, x, min(gamma, e1))
         if e1 >= gamma:
             return x, min(gamma, e1), trace
@@ -209,20 +200,28 @@ def single_uav_position(model: InterferenceModel, s: Scenario, h: float,
     return trace.first_hops[best], trace.system_sirs[best], trace
 
 
-def _d1_solution_set(ups: Callable[[float], float], s: Scenario, h: float,
+def _d1_solution_set(model: InterferenceModel, s: Scenario, h: float,
                      gamma: float) -> list[tuple[float, float]]:
     """Intervals of d_1 in [0, D] where the first-link expected SIR >= gamma.
 
-    Sign-scans the inequality residual and bisection-refines the boundaries.
+    Sign-scans the inequality residual, reading Upsilon at every scan point
+    in one array call, and bisection-refines the boundaries.
     """
     D = s.distance_tx_rx
     eta = s.channel.eta_nlos
 
     def residual(d1: float) -> float:
-        return d1 ** 2 * gamma - s.p_tx * ups(d1) / eta + h ** 2 * gamma
+        return d1 ** 2 * gamma - s.p_tx * upsilon(model, d1) / eta + h ** 2 * gamma
 
-    xs = [i * D / (D1_SCAN_POINTS - 1) for i in range(D1_SCAN_POINTS)]
-    vals = [residual(x) for x in xs]
+    with np.errstate(all="ignore"):  # float arithmetic: inf and NaN pass
+        xs = np.arange(D1_SCAN_POINTS) * D / (D1_SCAN_POINTS - 1)
+        squares = np.float_power(xs, 2.0)
+        if not (math.isfinite(squares[-1]) and math.isfinite(np.float_power(h, 2.0))):
+            for x in xs.tolist():  # a float square overflows: raise where
+                residual(x)        # the point-by-point scan raises
+        vals = (squares * gamma - s.p_tx * upsilon(model, xs) / eta
+                + h ** 2 * gamma).tolist()
+    xs = xs.tolist()
 
     def refine(lo: float, hi: float) -> float:
         f_lo = residual(lo)
@@ -252,34 +251,26 @@ def _contains(intervals: Sequence[tuple[float, float]], value: float,
     return any(lo - tol <= value <= hi + tol for lo, hi in intervals)
 
 
-def _rx_radicand(ups: Callable[[float], float], s: Scenario, h: float,
-                 gamma: float) -> float:
+def _rx_radicand(ups_d: float, s: Scenario, h: float, gamma: float) -> float:
     """d_last**2 at which the UAV -> Rx expected SIR equals gamma.
 
     Negative when gamma exceeds that link's cap, the UAV right above the Rx.
     """
-    return (ups(s.distance_tx_rx) * s.p_uav / (s.channel.eta_nlos * gamma)
-            - h ** 2)
+    return ups_d * s.p_uav / (s.channel.eta_nlos * gamma) - h ** 2
 
 
-def _backward_hops(ups: Callable[[float], float], s: Scenario,
-                   gamma: float, d_last: float, n_uavs: int) -> list[float]:
-    """Middle hops d_n .. d_2 from the closed-form backward recursion.
-
-    Returns hop distances in forward order [d_2, ..., d_n, d_last].
-    """
-    D = s.distance_tx_rx
-    hops = [d_last]
+def _backward_chain(model: InterferenceModel, s: Scenario, gamma: float,
+                    d_last: float) -> Iterator[float]:
+    """Middle hops d_n, d_(n-1), ... of the closed-form backward recursion
+    from the last hop d_last, one Upsilon read per hop."""
     tail = d_last
-    for _ in range(n_uavs - 1):  # k = n, n-1, ..., 2
-        pos = D - tail  # position of the receiving UAV of hop k
+    while True:
+        pos = s.distance_tx_rx - tail  # position of the receiving UAV of hop k
         if pos <= 0.0:
             pos = 0.0
-        d_k = math.sqrt(s.p_uav * ups(pos) / (gamma * s.channel.mu_los))
-        hops.append(d_k)
+        d_k = math.sqrt(s.p_uav * upsilon(model, pos) / (gamma * s.channel.mu_los))
+        yield d_k
         tail += d_k
-    hops.reverse()
-    return hops
 
 
 def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
@@ -293,12 +284,11 @@ def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
     """
     require_positive("gamma", gamma)
     require_altitude(s, h)
-    ups = upsilon_field(model)
     D = s.distance_tx_rx
-    d1_set = _d1_solution_set(ups, s, h, gamma)
+    d1_set = _d1_solution_set(model, s, h, gamma)
     if not d1_set:
         raise InfeasibleError("no first-hop distance meets gamma (empty set)")
-    radicand = _rx_radicand(ups, s, h, gamma)
+    radicand = _rx_radicand(upsilon(model, D), s, h, gamma)
     if radicand < 0.0:
         raise InfeasibleError("gamma exceeds the receiver-side expected-SIR cap")
     d_max = math.sqrt(radicand)
@@ -311,14 +301,24 @@ def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
             placement = Placement.uniform((d1, D - d1), h)
             return DesignResult(placement, gamma, ("first", "last"))
 
+    # One chain per relaxed last hop d_last = d_max - j rho.  The chain of
+    # n UAVs is the chain of n - 1 with one more backward hop in front, so
+    # each step of n reads Upsilon once per chain.  Without a rho step all
+    # chains are the first.
     rho_step = d_max / RHO_STEPS if d_max > 0.0 else 0.0
+    chains = []  # [backward hops, hops in forward order, a hop below d_min]
+    for j in range(RHO_STEPS + 1 if rho_step > 0.0 else 1):
+        d_last = d_max - j * rho_step
+        if d_last < 0.0:
+            break
+        chains.append([_backward_chain(model, s, gamma, d_last), [d_last], False])
     for n in range(2, DESIGN_N_CAP + 1):
-        for j in range(RHO_STEPS + 1):
-            d_last = d_max - j * rho_step
-            if d_last < 0.0:
-                break
-            hops = _backward_hops(ups, s, gamma, d_last, n)
-            if any(d < s.d_min for d in hops[:-1]):
+        for chain in chains:
+            backward, hops, short = chain
+            d_k = next(backward)
+            hops.insert(0, d_k)
+            chain[2] = short = short or d_k < s.d_min
+            if short:
                 continue
             d1_req = D - sum(hops)
             if d1_req < -tol:
@@ -327,8 +327,6 @@ def design_min_uavs_stochastic(model: InterferenceModel, s: Scenario,
                 placement = Placement.uniform([max(d1_req, 0.0)] + hops, h)
                 trace = ("first",) + ("mid",) * (n - 1) + ("last",)
                 return DesignResult(placement, gamma, trace)
-            if rho_step == 0.0:
-                break
     raise InfeasibleError("no chain within the UAV cap meets gamma")
 
 
@@ -345,14 +343,15 @@ def distributed_max_esir(model: InterferenceModel, s: Scenario, h: float,
     if n_uavs < 1:
         raise DomainError("n_uavs must be >= 1")
     require_altitude(s, h)
-    ups = upsilon_field(model)
     D = s.distance_tx_rx
-    gamma0 = _e_rx_link(ups, s, 0.0, h)
+    ups_d = upsilon(model, D)
+    gamma0 = _e_rx_link(ups_d, s, 0.0, h)
     trace = IterationTrace()
     best = None  # (min(gamma, E[SIR_1]), gamma, hops) of the best round
     for gamma in lowered_targets(gamma0, epsilon):
-        d_last = math.sqrt(max(_rx_radicand(ups, s, h, gamma), 0.0))
-        hops = _backward_hops(ups, s, gamma, min(d_last, D), n_uavs)
+        d_last = min(math.sqrt(max(_rx_radicand(ups_d, s, h, gamma), 0.0)), D)
+        backward = _backward_chain(model, s, gamma, d_last)
+        hops = [next(backward) for _ in range(n_uavs - 1)][::-1] + [d_last]
         d1 = D - sum(hops)
         if d1 < 0.0:
             # Maximal hops overshoot the span; shrink the middle hops so the
@@ -367,11 +366,11 @@ def distributed_max_esir(model: InterferenceModel, s: Scenario, h: float,
             d1 = max(D - sum(hops), 0.0)
         hops = [d1] + hops
         if all(d > 0.0 for d in hops[1:-1]):
-            esirs = _e_links(ups, s, hops, h)
+            esirs = _e_links(model, s, hops, h) + [_e_rx_link(ups_d, s, hops[-1], h)]
             e1 = esirs[0]
             esys = min(esirs)
         else:
-            e1 = _e_tx_link(ups, s, d1, h)
+            e1 = _e_tx_link(upsilon(model, d1), s, d1, h)
             esys = float("nan")
         trace.append(gamma, d1, esys)
         if e1 >= gamma:

@@ -19,7 +19,7 @@ from uavrelay.oracle import (_BLOCK_CELLS, BaselineStats, GridSpec,
                              exhaustive_min_uavs,
                              grid_search_dual, lipschitz_slack,
                              random_placement_baseline)
-from uavrelay.stochastic import BetaField, DeterministicField, upsilon_field
+from uavrelay.stochastic import BetaField, DeterministicField, upsilon
 
 from conftest import C_LOS, C_NLOS, edge_scenario, make_scenario, random_scenario
 
@@ -313,7 +313,8 @@ def test_exhaustive_stochastic_runs(channel):
 
 def _dense_exhaustive_min_uavs(planner_kind, s, h, gamma, n_max=8,
                                per_hop_grid=64, model=None):
-    """exhaustive_min_uavs as it was before the hop intervals, verbatim."""
+    """exhaustive_min_uavs as it was before the hop intervals, verbatim but
+    for its Upsilon reads, which call `upsilon` where a memo of it stood."""
     if planner_kind not in ("deterministic", "stochastic"):
         raise DomainError("planner_kind must be deterministic or stochastic")
     if not 1 <= n_max <= 8:
@@ -336,8 +337,7 @@ def _dense_exhaustive_min_uavs(planner_kind, s, h, gamma, n_max=8,
         last_ok = (s.p_uav * ch.mu_nlos * ((X - D) ** 2 + Y ** 2)
                    / (ch.eta_nlos * s.p_msi * ((D - pos) ** 2 + h ** 2))) >= gamma
     else:
-        ups = upsilon_field(model)
-        ups_pos = np.array([ups(float(p)) for p in pos])
+        ups_pos = np.array([upsilon(model, float(p)) for p in pos])
         first_ok = (ups_pos * s.p_tx / (ch.eta_nlos * (pos ** 2 + h ** 2))) >= gamma
         last_ok = (ups_pos[-1] * s.p_uav
                    / (ch.eta_nlos * ((D - pos) ** 2 + h ** 2))) >= gamma
@@ -440,9 +440,8 @@ def test_interval_search_equals_the_dense_search(seed):
     j = min(pos.size - 1, i + max(1, pos.size // rng.randint(2, 9)))
     with np.errstate(all="ignore"):
         try:
-            ups = upsilon_field(model)
             ups_pos = (None if kind == "deterministic"
-                       else np.array([ups(float(p)) for p in pos]))
+                       else np.array([upsilon(model, float(p)) for p in pos]))
             tie = float(_dense_hop_sirs(s, h, pos, ups_pos)[1][i, j])
         except Exception:  # a hop SIR the dense oracle cannot form either
             tie = 1.0
@@ -451,7 +450,7 @@ def test_interval_search_equals_the_dense_search(seed):
             if kind == "deterministic":
                 cap = feasibility_bound(s, h)
             else:
-                cap = (upsilon_field(model)(s.distance_tx_rx / 2) * s.p_uav
+                cap = (upsilon(model, s.distance_tx_rx / 2) * s.p_uav
                        / (channel.eta_nlos * h ** 2))
         except Exception:
             cap = 1.0
@@ -564,7 +563,7 @@ def test_exhaustive_on_a_subnormal_span_reads_upsilon_at_the_receiver(channel):
     model = BetaField(lambda x: 2.0 + 10.0 * x / d, 1.0, 1.0, 100.0)
     h = 1e-3
     # the dense oracle's Rx-side link SIR at position D: a tie
-    ups_d, at_d = upsilon_field(model)(d), np.array([d])
+    ups_d, at_d = upsilon(model, d), np.array([d])
     gamma = float((ups_d * s.p_uav
                    / (channel.eta_nlos * ((d - at_d) ** 2 + h ** 2)))[0])
     for oracle in (exhaustive_min_uavs, _dense_exhaustive_min_uavs):

@@ -91,6 +91,16 @@ def test_compare_answers_distributed_corpus_runs_on_a_tree_and_itself():
         "distributed: 35 answers (1 raised errors), 0 differ")
 
 
+def test_compare_answers_stochastic_corpus_runs_on_a_tree_and_itself():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "compare_answers.py"),
+         str(REPO), str(REPO), "--planner", "stochastic", "--draws", "3"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        "stochastic: 82 answers (6 raised errors), 0 differ")
+
+
 #: Appended to a copy of the package: every refinement's history gains a
 #: last value, so every answer of the `refine_altitudes` corpus differs.
 SHIFT_REFINEMENTS = '''
